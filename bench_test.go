@@ -619,6 +619,40 @@ func BenchmarkPrimitiveImplicitRound262144(b *testing.B) {
 	sess.Run(g, radio.Options{MaxRounds: b.N})
 }
 
+// bigImplicitRGG caches the implicit twin of bigRGG: the same n=262144
+// torus instance at 2·r_c, indexed by graph.NewImplicitGeom.
+var bigImplicitRGG struct {
+	once sync.Once
+	g    *graph.ImplicitGeom
+}
+
+// BenchmarkPrimitiveImplicitGeomRound262144 is the implicit twin of
+// BenchmarkPrimitiveRGGRound262144: the same instance and the same pulse
+// under the Auto kernel, so every round prices the push/pull choice through
+// the stored degrees (outDegSum over the pulse) before re-deriving the
+// transmitters' rows from the cell grid. 0 allocs/op under the alloc gate.
+func BenchmarkPrimitiveImplicitGeomRound262144(b *testing.B) {
+	bigImplicitRGG.once.Do(func() {
+		n := 262144
+		spec := graph.GeomSpec{N: n, Radius: 2 * graph.ConnectivityRadius(n), Torus: true}
+		bigImplicitRGG.g = graph.NewImplicitGeom(spec, rng.New(1))
+	})
+	g := bigImplicitRGG.g
+	n := g.N()
+	txs := make([]graph.NodeID, 0, n/64)
+	for v := 0; v < n; v += 64 {
+		txs = append(txs, graph.NodeID(v))
+	}
+	sess := radio.NewBroadcastSession(n, 0, &pulseSet{txs: txs}, rng.New(18))
+	// A row scan here costs ~10× a CSR row, so the default benchtime runs
+	// too few rounds to amortise the session's one-time buffers to 0
+	// allocs/op; one untimed warm-up round allocates them instead.
+	sess.Run(g, radio.Options{MaxRounds: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	sess.Run(g, radio.Options{MaxRounds: b.N})
+}
+
 // BenchmarkPrimitiveAlgorithm1Run100M is the planet-scale acceptance
 // workload of the implicit backend: one complete Algorithm 1 broadcast on a
 // 10^8-node generate-free G(n, 8·ln n/n). The ~1.8·10^9 directed edges are

@@ -122,7 +122,9 @@
 // construction, O(n) run footprint; graph.ImplicitGNP.CheapIn reports
 // whether the lazy in-index exists, and adaptive runs stay push-only
 // until it does) and implicit RGG/UDG re-deriving neighbourhoods from a
-// coordinates-only cell grid (graph.ImplicitGeom). Both are pinned
+// coordinates-only cell grid (graph.ImplicitGeom, which stores its degrees
+// at construction so the engine prices each round in O(1) per node and
+// shares one instance read-only across sessions). Both are pinned
 // edge-identical to their materialized twins and bit-identical through
 // the engine under every forcing; the S1 experiment carries the
 // representation axis (Config.GraphMode, cmd/experiments -implicit), the

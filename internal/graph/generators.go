@@ -39,14 +39,15 @@ func GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float64) {
 			continue
 		}
 		// Geometric skipping over the n-1 potential targets of u.
-		idx := r.Geometric(p)
+		lg := math.Log1p(-p)
+		idx := r.GeometricLog(lg)
 		for idx < n-1 {
 			v := NodeID(idx)
 			if v >= NodeID(u) {
 				v++
 			}
 			b.AddEdge(NodeID(u), v)
-			idx += 1 + r.Geometric(p)
+			idx += 1 + r.GeometricLog(lg)
 		}
 	}
 	return b.Build(), ps
@@ -63,13 +64,8 @@ func GNPSymmetric(n int, p float64, r *rng.RNG) *Digraph {
 		return b.Build()
 	}
 	total := uint64(n) * uint64(n-1) / 2
-	next := func() uint64 {
-		if p == 1 {
-			return 0
-		}
-		return uint64(r.Geometric(p))
-	}
-	idx := next()
+	lg := math.Log1p(-p) // -Inf at p == 1: GeometricLog then draws nothing
+	idx := uint64(r.GeometricLog(lg))
 	for idx < total {
 		// Map linear index over unordered pairs {u<v}: row u holds n-1-u pairs.
 		u, rem := uint64(0), idx
@@ -79,11 +75,7 @@ func GNPSymmetric(n int, p float64, r *rng.RNG) *Digraph {
 		}
 		v := u + 1 + rem
 		b.AddBoth(NodeID(u), NodeID(v))
-		if p == 1 {
-			idx++
-		} else {
-			idx += 1 + uint64(r.Geometric(p))
-		}
+		idx += 1 + uint64(r.GeometricLog(lg))
 	}
 	return b.Build()
 }

@@ -31,7 +31,13 @@ import (
 //     returns the extended slice. Two calls with the same v append the same
 //     sequence.
 //   - AppendIn is the same for in-neighbours ("the nodes v hears").
-//   - OutDegree/InDegree agree with the lengths of the appended rows.
+//   - OutDegree/InDegree agree with the lengths of the appended rows. The
+//     engine prices its kernel choice with them every round, so their cost
+//     matters: O(1) for *Digraph (CSR offsets) and ImplicitGeom (degrees
+//     stored at construction). ImplicitGNP's OutDegree is a skip pass over
+//     the row, which adaptive engine runs never pay: they price rounds only
+//     while CheapIn holds (see below), and never build the index that
+//     makes it true.
 //   - CheapIn reports whether in-side queries (AppendIn, InDegree) cost
 //     O(row), like the out side. When false they may cost O(n + m) — the
 //     engine then stays on push-side kernels and skips the pull cost model.
@@ -236,7 +242,18 @@ func (g *ImplicitGNP) CheapIn() bool { return g.inOff != nil }
 // no edge lists. Both edge directions are O(row) expected: the grid's cell
 // width is at least the maximum radius, so out-rows (dist(u,v) ≤ r_u) and
 // in-rows (dist(u,v) ≤ r_v) of a node both live in its 3×3 cell
-// neighbourhood. Memory is O(n) regardless of density.
+// neighbourhood.
+//
+// Degrees are stored, not re-derived: construction counts every row once,
+// so OutDegree/InDegree — which the engine calls on every transmitter and
+// every uninformed node to price its kernel choice — are array reads. The
+// graph is immutable after construction, so sessions may share it across
+// goroutines.
+//
+// Memory is O(n) regardless of density: 24 B/node of points, 4 B/node of
+// cell ids, 4 B/node of degrees (8 when radii differ, since in- and
+// out-degrees then differ), and 8 B per grid cell, at most about one cell
+// per node.
 type ImplicitGeom struct {
 	pts     []GeometricPoint
 	torus   bool
@@ -244,6 +261,8 @@ type ImplicitGeom struct {
 	cellW   float64
 	cellOff []int
 	cellIDs []NodeID
+	outDeg  []int32
+	inDeg   []int32 // aliases outDeg when every radius is equal
 }
 
 // NewImplicitGeom samples a geometric instance and returns its implicit
@@ -255,9 +274,10 @@ func NewImplicitGeom(spec GeomSpec, r *rng.RNG) *ImplicitGeom {
 }
 
 // ImplicitFromPoints indexes a fixed point set (u → v iff dist(u, v) ≤
-// pts[u].Radius) without building adjacency. pts is retained (not copied);
-// the grid parameters replicate Scratch.FromPoints exactly so the served
-// edge set matches the materialized generator for the same points.
+// pts[u].Radius) without building adjacency, then stores every node's
+// degrees (appendRow in count mode). pts is retained (not copied); the grid
+// parameters replicate Scratch.FromPoints exactly so the served edge set
+// matches the materialized generator for the same points.
 func ImplicitFromPoints(pts []GeometricPoint, torus bool) *ImplicitGeom {
 	n := len(pts)
 	if n < 1 {
@@ -303,6 +323,28 @@ func ImplicitFromPoints(pts []GeometricPoint, torus bool) *ImplicitGeom {
 		ig.cellIDs[ig.cellOff[c]+int(pos[c])] = NodeID(i)
 		pos[c]++
 	}
+	// With equal radii the in-row limit equals the out-row limit, so one
+	// slice serves both directions.
+	uniform := true
+	for i := range pts {
+		if pts[i].Radius != pts[0].Radius {
+			uniform = false
+			break
+		}
+	}
+	ig.outDeg = make([]int32, n)
+	ig.inDeg = ig.outDeg
+	if !uniform {
+		ig.inDeg = make([]int32, n)
+	}
+	for v := range pts {
+		_, d := ig.appendRow(NodeID(v), nil, false, true)
+		ig.outDeg[v] = int32(d)
+		if !uniform {
+			_, d = ig.appendRow(NodeID(v), nil, true, true)
+			ig.inDeg[v] = int32(d)
+		}
+	}
 	return ig
 }
 
@@ -321,7 +363,8 @@ func (ig *ImplicitGeom) cellOf(x float64) int {
 func (ig *ImplicitGeom) N() int { return len(ig.pts) }
 
 // Points returns the indexed point set. The slice is internal storage and
-// must not be modified (moving a point would desynchronise the grid).
+// must not be modified (moving a point would desynchronise the grid and the
+// stored degrees).
 func (ig *ImplicitGeom) Points() []GeometricPoint { return ig.pts }
 
 // Torus reports whether distances wrap around the unit square.
@@ -410,17 +453,11 @@ func (ig *ImplicitGeom) AppendIn(v NodeID, dst []NodeID) []NodeID {
 	return dst
 }
 
-// OutDegree counts v's out-row without materialising it.
-func (ig *ImplicitGeom) OutDegree(v NodeID) int {
-	_, deg := ig.appendRow(v, nil, false, true)
-	return deg
-}
+// OutDegree returns v's stored out-degree: O(1).
+func (ig *ImplicitGeom) OutDegree(v NodeID) int { return int(ig.outDeg[v]) }
 
-// InDegree counts v's in-row without materialising it.
-func (ig *ImplicitGeom) InDegree(v NodeID) int {
-	_, deg := ig.appendRow(v, nil, true, true)
-	return deg
-}
+// InDegree returns v's stored in-degree: O(1).
+func (ig *ImplicitGeom) InDegree(v NodeID) int { return int(ig.inDeg[v]) }
 
 // CheapIn reports that geometric in-rows are as cheap as out-rows (both are
 // 3×3 cell scans).

@@ -123,6 +123,10 @@ func TestImplicitGeomMatchesScratch(t *testing.T) {
 		{N: 300, Radius: ConnectivityRadius(300), RadiusMax: 3 * ConnectivityRadius(300), Torus: true},
 		{N: 300, Radius: ConnectivityRadius(300), RadiusMax: 3 * ConnectivityRadius(300)},
 		{N: 200, Radius: 0.9, Torus: true}, // radius near the cell-cap regime
+		// Two- and three-column tori, where wrapped neighbour cells
+		// coincide and each must be scanned once.
+		{N: 60, Radius: 0.45, Torus: true},
+		{N: 90, Radius: 0.2, RadiusMax: 0.33, Torus: true},
 		{N: 256, Radius: 2 * ConnectivityRadius(256), Placement: PlaceCluster, Torus: true},
 	}
 	sc := NewScratch()

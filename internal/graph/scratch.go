@@ -1,6 +1,10 @@
 package graph
 
-import "repro/internal/rng"
+import (
+	"math"
+
+	"repro/internal/rng"
+)
 
 // Scratch reuses CSR adjacency storage across repeated graph generations —
 // the experiment harness keeps one per worker so trial loops stop paying an
@@ -64,7 +68,8 @@ func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 		total := uint64(n) * uint64(n-1)
 		cur := 0
 		g.outOff[0] = 0
-		idx := uint64(r.Geometric(p))
+		lg := math.Log1p(-p)
+		idx := uint64(r.GeometricLog(lg))
 		for idx < total {
 			u := int(idx / uint64(n-1))
 			v := NodeID(idx % uint64(n-1))
@@ -76,7 +81,7 @@ func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 				g.outOff[cur] = len(g.outTo)
 			}
 			g.outTo = append(g.outTo, v)
-			idx += 1 + uint64(r.Geometric(p))
+			idx += 1 + uint64(r.GeometricLog(lg))
 		}
 		for cur < n {
 			cur++

@@ -88,17 +88,23 @@ func measureEffectiveCores(p int) float64 {
 			best = d
 		}
 	}
+	// Each goroutine writes its own slot; the slots fold into the sink only
+	// after Wait, so the spins never race on it.
+	slots := make([]uint64, p)
 	var wg sync.WaitGroup
 	t0 := time.Now()
-	for i := 0; i < p; i++ {
+	for i := range slots {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			spinSink = spin(iters)
+			slots[i] = spin(iters)
 		}()
 	}
 	wg.Wait()
 	par := time.Since(t0)
+	for _, x := range slots {
+		spinSink ^= x
+	}
 	eff := float64(p) * float64(best) / float64(par)
 	if eff < 1 {
 		eff = 1

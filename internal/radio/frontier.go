@@ -167,7 +167,9 @@ func (f *frontierState) remove(delivered []graph.NodeID) {
 // pull kernel's per-round cost estimate, recomputed per Run segment (the
 // graph may change between segments) and maintained incrementally by the
 // engine as nodes are informed. The engine only calls it when g.CheapIn()
-// holds (in-degrees cost O(row) or better).
+// holds; every backend for which that is true reads its in-degrees in O(1)
+// (CSR offsets, ImplicitGeom's stored degrees, ImplicitGNP's transpose
+// index), so a segment start costs O(n).
 func uninformedInSum(g graph.Implicit, informed Bitset) int64 {
 	var sum int64
 	if dg, ok := g.(*graph.Digraph); ok {
@@ -183,10 +185,11 @@ func uninformedInSum(g graph.Implicit, informed Bitset) int64 {
 }
 
 // outDegSum returns Σ OutDegree(u) over the transmitter set — the push
-// kernel's exact per-round cost. O(|tx|) from the CSR offsets on a
-// materialized graph; implicit graphs pay a row enumeration per
-// transmitter, which is why the engine consults it only when the pull side
-// is a live alternative (trackUnin).
+// kernel's exact per-round cost. O(|tx|) on CSR and on ImplicitGeom (stored
+// degrees). ImplicitGNP pays a row enumeration per transmitter, but the
+// engine consults this only when the pull side is a live alternative
+// (trackUnin), which requires CheapIn — false on ImplicitGNP until
+// something builds its transpose index, which adaptive runs never do.
 func outDegSum(g graph.Implicit, txs []graph.NodeID) int64 {
 	var sum int64
 	if dg, ok := g.(*graph.Digraph); ok {

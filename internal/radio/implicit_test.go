@@ -132,3 +132,45 @@ func TestImplicitParallelOptionEquivalence(t *testing.T) {
 	assertSameResult(t, "parallel/materialized", want, run(mat, true))
 	assertSameResult(t, "parallel/implicit", want, run(g, true))
 }
+
+// TestImplicitGeomSharedAcrossGoroutines pins ImplicitGeom as read-only
+// state: two sessions on one shared instance, run concurrently (under
+// -race this is the check that construction leaves nothing lazy behind,
+// the stored degrees included), return exactly what sequential runs do.
+// Both geometries are covered: equal radii, where in- and out-degrees share
+// one array, and heterogeneous radii, where they do not.
+func TestImplicitGeomSharedAcrossGoroutines(t *testing.T) {
+	n := 1024
+	rc := graph.ConnectivityRadius(n)
+	for name, spec := range map[string]graph.GeomSpec{
+		"uniform": {N: n, Radius: 2 * rc, Torus: true},
+		"hetero":  {N: n, Radius: rc, RadiusMax: 3 * rc},
+	} {
+		g := graph.NewImplicitGeom(spec, rng.New(3))
+		run := func(seed uint64) *Result {
+			return RunBroadcastWith(NewScratch(), g, 0, &sbern{q: 0.03}, rng.New(seed),
+				Options{MaxRounds: 3000})
+		}
+		want := []*Result{run(1), run(2)}
+		if want[0].Informed < n/2 {
+			t.Fatalf("%s: broadcast stalled at %d/%d informed; workload is not representative", name, want[0].Informed, n)
+		}
+		got := make([]*Result, 2)
+		done := make(chan struct{})
+		for i := range got {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				got[i] = run(uint64(i + 1))
+			}()
+		}
+		<-done
+		<-done
+		for i := range got {
+			assertSameResult(t, name, want[i], got[i])
+			if want[i].Collisions != got[i].Collisions {
+				t.Fatalf("%s seed %d: collisions %d concurrently, %d sequentially",
+					name, i+1, got[i].Collisions, want[i].Collisions)
+			}
+		}
+	}
+}

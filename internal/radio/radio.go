@@ -716,9 +716,13 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 					usePull = s.uninSum+int64(len(transmitters)) < outSum
 				}
 				// Dense pays O(n/64) resolution regardless of density, so it
-				// only wins once the per-edge work it strips reaches ~n; the
-				// out-degree scan that prices that is only O(1)-per-node on a
-				// materialized CSR. Rounds-parallel keeps its shards instead.
+				// only wins once the per-edge work it strips reaches ~n.
+				// Pricing is O(1) per transmitter on CSR and ImplicitGeom
+				// alike; the gate is about delivery cost. On an implicit
+				// graph re-deriving each row dominates and dense saves none
+				// of it, so Auto keeps dense CSR-only (which also keeps
+				// implicit kernel choice, and with it Result.Collisions,
+				// unchanged). Rounds-parallel keeps its shards instead.
 				if !usePull && !parallel && dg != nil && denseOK(caps) {
 					if outSum < 0 {
 						outSum = outDegSum(g, transmitters)

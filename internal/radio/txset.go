@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -20,9 +22,11 @@ type TxSet struct {
 	// skip before the next selected position of the concatenated
 	// Bernoulli(streamQ) stream. Valid only while streamOK; a draw with a
 	// different probability restarts the stream (the remainder of a
-	// Geometric(q') overshoot is memoryless only for q').
+	// Geometric(q') overshoot is memoryless only for q'). streamLg is
+	// math.Log1p(-streamQ), hoisted out of the per-selection draws.
 	gap      int
 	streamQ  float64
+	streamLg float64
 	streamOK bool
 }
 
@@ -81,7 +85,8 @@ func (s *TxSet) DrawRange(r *rng.RNG, n int, p float64, round int) {
 // stream when q changed since the carry was drawn.
 func (s *TxSet) ensureStream(r *rng.RNG, q float64) {
 	if !s.streamOK || s.streamQ != q {
-		s.gap = r.Geometric(q)
+		s.streamLg = math.Log1p(-q)
+		s.gap = r.GeometricLog(s.streamLg)
 		s.streamQ = q
 		s.streamOK = true
 	}
@@ -114,7 +119,7 @@ func (s *TxSet) DrawListStream(r *rng.RNG, list []graph.NodeID, q float64, round
 		pos += s.gap
 		s.Add(list[pos], round)
 		pos++
-		s.gap = r.Geometric(q)
+		s.gap = r.GeometricLog(s.streamLg)
 	}
 	s.gap -= k - pos
 }
@@ -137,7 +142,7 @@ func (s *TxSet) DrawRangeStream(r *rng.RNG, n int, q float64, round int) {
 		pos += s.gap
 		s.Add(graph.NodeID(pos), round)
 		pos++
-		s.gap = r.Geometric(q)
+		s.gap = r.GeometricLog(s.streamLg)
 	}
 	s.gap -= n - pos
 }

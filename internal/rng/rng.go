@@ -156,18 +156,35 @@ func (r *RNG) Geometric(p float64) int {
 	if p == 1 {
 		return 0
 	}
+	return r.GeometricLog(math.Log1p(-p))
+}
+
+// GeometricLog is Geometric with the divisor precomputed: lg must be
+// math.Log1p(-p) for the caller's p, which callers drawing many samples at
+// one p hoist out of their loop. The draws and the divisor are exactly
+// Geometric's, so the two return identical streams (the rng tests pin
+// this; replacing the division by a reciprocal multiply would not be
+// bit-identical). It panics unless lg < 0; lg = -Inf (p = 1) returns 0
+// without consuming randomness, as Geometric(1) does.
+func (r *RNG) GeometricLog(lg float64) int {
+	if !(lg < 0) {
+		panic("rng: GeometricLog needs lg = Log1p(-p) < 0")
+	}
+	if math.IsInf(lg, -1) {
+		return 0
+	}
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	g := math.Floor(math.Log(u) / math.Log1p(-p))
-	if g < 0 {
-		return 0
-	}
-	if g > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int(g)
+	return geometricInv(u, lg)
+}
+
+// geometricInv is the inversion step floor(log(u)/lg), capped at MaxInt32.
+// With u in (0, 1) and lg < 0 the quotient is positive, so no lower clamp
+// is needed.
+func geometricInv(u, lg float64) int {
+	return int(min(math.Floor(math.Log(u)/lg), math.MaxInt32))
 }
 
 // SkipSampler enumerates the indices of [0, n) that pass independent
@@ -182,7 +199,7 @@ func (r *RNG) Geometric(p float64) int {
 // selection (deterministically).
 type SkipSampler struct {
 	r    *RNG
-	p    float64
+	lg   float64 // math.Log1p(-p), hoisted out of the per-draw loop
 	n    int
 	next int
 	all  bool
@@ -192,7 +209,7 @@ type SkipSampler struct {
 // p <= 0 selects nothing and p >= 1 selects everything; neither consumes
 // randomness for the degenerate part (p >= 1 consumes none at all).
 func (r *RNG) SkipSample(n int, p float64) SkipSampler {
-	s := SkipSampler{r: r, p: p, n: n}
+	s := SkipSampler{r: r, n: n}
 	switch {
 	case n <= 0 || p <= 0:
 		s.next = n
@@ -202,7 +219,8 @@ func (r *RNG) SkipSample(n int, p float64) SkipSampler {
 	case p >= 1:
 		s.all = true
 	default:
-		s.next = r.Geometric(p)
+		s.lg = math.Log1p(-p)
+		s.next = r.GeometricLog(s.lg)
 	}
 	return s
 }
@@ -216,7 +234,7 @@ func (s *SkipSampler) Next() (i int, ok bool) {
 	if s.all {
 		s.next++
 	} else {
-		s.next += 1 + s.r.Geometric(s.p)
+		s.next += 1 + s.r.GeometricLog(s.lg)
 	}
 	return i, true
 }
@@ -248,10 +266,11 @@ func (r *RNG) Binomial(n int, p float64) int {
 	}
 	// Geometric skipping: positions of successes among n trials.
 	k := 0
-	i := r.Geometric(p)
+	lg := math.Log1p(-p)
+	i := r.GeometricLog(lg)
 	for i < n {
 		k++
-		i += 1 + r.Geometric(p)
+		i += 1 + r.GeometricLog(lg)
 	}
 	return k
 }

@@ -1,0 +1,103 @@
+package rng
+
+import (
+	"math"
+	"testing"
+)
+
+// pinProbs spans the skip regimes the simulator draws at: G(n,p) at p = d/n
+// for large n, Algorithm 1/3 decision probabilities, and the near-flood end.
+var pinProbs = []float64{1e-6, 1e-3, 0.05, 0.5, 0.999}
+
+// TestGeometricLogMatchesGeometric pins the hoisted-divisor draw to the
+// reference one draw for draw: same Float64 consumption, same divisor, so
+// callers may hoist math.Log1p(-p) without moving a single bit.
+func TestGeometricLogMatchesGeometric(t *testing.T) {
+	for _, p := range pinProbs {
+		a, b := New(0x9e0), New(0x9e0)
+		lg := math.Log1p(-p)
+		for i := 0; i < 20000; i++ {
+			if x, y := a.Geometric(p), b.GeometricLog(lg); x != y {
+				t.Fatalf("p=%g draw %d: Geometric %d, GeometricLog %d", p, i, x, y)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%g: generators diverged after equal draws", p)
+		}
+	}
+	// p = 1 (lg = -Inf) returns 0 and consumes nothing, as Geometric(1) does.
+	a, b := New(3), New(3)
+	if a.GeometricLog(math.Inf(-1)) != 0 || a.Uint64() != b.Uint64() {
+		t.Fatal("GeometricLog(-Inf) must return 0 without drawing")
+	}
+	for _, lg := range []float64{0, 0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("GeometricLog(%v) did not panic", lg)
+				}
+			}()
+			a.GeometricLog(lg)
+		}()
+	}
+}
+
+// TestGeometricInvBoundaries pins the inversion step at uniforms whose
+// quotient log(u)/lg sits within an ulp of an integer, where the division
+// and a reciprocal multiply (log(u) * (1/lg)) floor to different counts.
+// Random digests almost never land on such a u, so these are the cases that
+// make a "faster" rewrite of the divisor fail loudly.
+func TestGeometricInvBoundaries(t *testing.T) {
+	cases := []struct {
+		p    float64
+		u    uint64 // math.Float64bits of the uniform
+		want int
+	}{
+		{1e-6, 0x3fefe7ac54fc079e, 2973},
+		{1e-6, 0x3fefe7a8266e8862, 2975},
+		{1e-3, 0x3fed11c79ed484e8, 96},
+		{1e-3, 0x3fea039134ccdf5c, 207},
+		{0.05, 0x3fd3abbc23c51e52, 23},
+		{0.05, 0x3fd005a3378c34fe, 27},
+		{0.5, 0x3fc0000000000001, 3},
+		{0.5, 0x3f90000000000002, 6},
+		{0.999, 0x3a53ce9a36f23c58, 8},
+		{0.999, 0x3557f1fb6f1093f7, 16},
+	}
+	for _, c := range cases {
+		u := math.Float64frombits(c.u)
+		if got := geometricInv(u, math.Log1p(-c.p)); got != c.want {
+			t.Errorf("p=%g u=%v: geometricInv %d, want %d", c.p, u, got, c.want)
+		}
+	}
+}
+
+// TestSkipSampleStreamPinned pins SkipSample's selected indices to digests
+// recorded before the sampler hoisted its divisor. A change to the draw
+// arithmetic (a reciprocal multiply in place of the division, say) shifts
+// some floor() boundary and fails here loudly.
+func TestSkipSampleStreamPinned(t *testing.T) {
+	want := map[float64]uint64{
+		1e-6:  0x288df446ee7eaba,
+		1e-3:  0x72ca65b09a577da3,
+		0.05:  0xc76c2e0d1c08cad2,
+		0.5:   0x9845f5e2f682640d,
+		0.999: 0xd74ab63b647c3237,
+	}
+	for _, p := range pinProbs {
+		r := New(0x5eed)
+		// ~2000 selections per p, over a range long enough that small p
+		// still selects.
+		s := r.SkipSample(int(2000/p), p)
+		h := uint64(14695981039346656037)
+		k := 0
+		for i, ok := s.Next(); ok; i, ok = s.Next() {
+			h = (h ^ uint64(i)) * 1099511628211
+			k++
+		}
+		h = (h ^ uint64(k)) * 1099511628211
+		if h != want[p] {
+			t.Errorf("p=%g: SkipSample digest %#x (%d selections), want %#x", p, h, k, want[p])
+		}
+	}
+}

@@ -2,15 +2,17 @@ package repro
 
 // The memory-ceiling gate behind scripts/mem_gate.sh: prove that simulated
 // rounds on a planet-scale implicit topology fit a pinned heap budget. The
-// test is env-gated because it deliberately allocates the full O(n) session
-// state for n = 10^8 nodes (several GB): CI and local runs opt in with
+// tests are env-gated because they deliberately allocate the full O(n)
+// session state for n = 10^8 nodes (several GB): CI and local runs opt in
+// with
 //
 //	MEM_GATE_BUDGET_MB=3072 go test -run TestImplicitScaleMemoryCeiling .
+//	MEM_GATE_GEOM_BUDGET_MB=768 go test -run TestImplicitGeomMemoryCeiling .
 //
-// MEM_GATE_N overrides the node count (the CI gate on small runners uses a
-// reduced n with a proportionally reduced budget — the point is the O(n)
-// scaling contract, which a materialized graph at the same size would break
-// by an O(m/n) ≈ mean-degree factor).
+// MEM_GATE_N overrides the G(n,p) leg's node count (the CI gate on small
+// runners uses a reduced n with a proportionally reduced budget — the point
+// is the O(n) scaling contract, which a materialized graph at the same size
+// would break by an O(m/n) ≈ mean-degree factor).
 
 import (
 	"math"
@@ -25,27 +27,54 @@ import (
 )
 
 func TestImplicitScaleMemoryCeiling(t *testing.T) {
-	budgetStr := os.Getenv("MEM_GATE_BUDGET_MB")
-	if budgetStr == "" {
-		t.Skip("set MEM_GATE_BUDGET_MB (and optionally MEM_GATE_N) to run the memory-ceiling gate")
-	}
-	budgetMB, err := strconv.Atoi(budgetStr)
-	if err != nil || budgetMB <= 0 {
-		t.Fatalf("MEM_GATE_BUDGET_MB=%q: want a positive integer (MiB)", budgetStr)
-	}
+	budgetMB := memGateBudget(t, "MEM_GATE_BUDGET_MB")
 	n := 100_000_000
 	if s := os.Getenv("MEM_GATE_N"); s != "" {
+		var err error
 		if n, err = strconv.Atoi(s); err != nil || n < 2 {
 			t.Fatalf("MEM_GATE_N=%q: want an integer >= 2", s)
 		}
 	}
-
 	p := 8 * math.Log(float64(n)) / float64(n)
-	g := graph.NewImplicitGNP(n, p, 1)
+	pulseMemoryCeiling(t, graph.NewImplicitGNP(n, p, 1), budgetMB)
+}
 
-	// A fixed transmitter pulse exercises the full delivery path — row
-	// re-derivation, collision accounting, informed tracking — for several
-	// rounds over a warm session, without paying for a complete broadcast.
+// TestImplicitGeomMemoryCeiling is the geometric leg: a 2^24-node implicit
+// RGG at 2·r_c on the torus (Algorithm 3's operating point) under the Auto
+// kernel, so the session prices every round from the stored degrees and
+// re-derives its rows from the cell grid. The heap is the graph's O(n)
+// index (points, cell ids, degrees, cell offsets; see scripts/mem_gate.sh)
+// plus the session state.
+func TestImplicitGeomMemoryCeiling(t *testing.T) {
+	budgetMB := memGateBudget(t, "MEM_GATE_GEOM_BUDGET_MB")
+	const n = 1 << 24
+	spec := graph.GeomSpec{N: n, Radius: 2 * graph.ConnectivityRadius(n), Torus: true}
+	pulseMemoryCeiling(t, graph.NewImplicitGeom(spec, rng.New(1)), budgetMB)
+}
+
+// memGateBudget reads a leg's budget (MiB) from the environment variable
+// budgetVar, skipping the test when it is unset.
+func memGateBudget(t *testing.T, budgetVar string) int {
+	t.Helper()
+	budgetStr := os.Getenv(budgetVar)
+	if budgetStr == "" {
+		t.Skipf("set %s to run the memory-ceiling gate", budgetVar)
+	}
+	budgetMB, err := strconv.Atoi(budgetStr)
+	if err != nil || budgetMB <= 0 {
+		t.Fatalf("%s=%q: want a positive integer (MiB)", budgetVar, budgetStr)
+	}
+	return budgetMB
+}
+
+// pulseMemoryCeiling runs a fixed transmitter pulse over g and fails if the
+// live heap after a final GC exceeds budgetMB. The pulse exercises the full
+// delivery path — row re-derivation, collision accounting, informed
+// tracking — for several rounds over a warm session, without paying for a
+// complete broadcast.
+func pulseMemoryCeiling(t *testing.T, g graph.Implicit, budgetMB int) {
+	t.Helper()
+	n := g.N()
 	stride := n / 4096
 	if stride < 1 {
 		stride = 1
