@@ -187,6 +187,33 @@ func BenchmarkPrimitiveGNPGeneration(b *testing.B) {
 	}
 }
 
+// Trial-graph rebuild on a warm scratch: one X8-sized heterogeneous G(n,p)
+// and one S1-sized materialized implicit G(n,p) per op, the two per-trial
+// topologies that used to go through an edge-list Builder and a fresh CSR.
+// Each op reseeds, so both graphs are the same every op and a warm scratch
+// must serve them with 0 allocs/op (scripts/alloc_gate.sh budget 0).
+func BenchmarkPrimitiveTrialGraphRebuild(b *testing.B) {
+	nh := 1 << 11
+	ph := 8 * math.Log(float64(nh)) / float64(nh)
+	pmin := 2 * ph / 17 // X8's spread=16 point: pmax = 16·pmin, mean ph
+	ns := 1 << 14
+	ig := graph.NewImplicitGNP(ns, 8*math.Log(float64(ns))/float64(ns), 5)
+	sc := graph.NewScratch()
+	r := rng.New(7)
+	rebuild := func() int {
+		r.Reseed(7)
+		g, _ := sc.GNPHetero(nh, pmin, 16*pmin, r)
+		return g.M() + sc.Materialize(ig).M()
+	}
+	edges := rebuild() // warm the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edges = rebuild()
+	}
+	b.ReportMetric(float64(edges), "edges")
+}
+
 // bigGNP caches the n=262144 G(n,p) instance across benchmark counts (it
 // takes seconds to generate and none of the benchmarks mutate it).
 var bigGNP struct {

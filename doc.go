@@ -55,7 +55,9 @@
 // engine: an experiment is a Campaign — a point enumeration (Axis products
 // or ad-hoc lists, every point carrying a stable key), a point→trials
 // mapping over sweep.RunTrialsScratch, and a render stage that rebuilds
-// tables from recorded samples. Point seeds derive purely from (base seed,
+// tables from recorded samples. Trial bodies build their per-trial
+// topology into the worker's trialScratch.graph (a graph.Scratch), so
+// regenerating a random network per trial allocates nothing once warm. Point seeds derive purely from (base seed,
 // point key), so execution order, sharding (-shard k/N) and resume
 // (-checkpoint + -resume, streaming one durable JSONL record per completed
 // point with torn-tail repair) cannot change a result: shard unions and

@@ -189,7 +189,8 @@ func x6Campaign() campaign.Campaign {
 			epochLen := 40
 			dGuess := int(2 / sub) // generous diameter bound for the protocol
 			sc := pt.Data.(x6Scenario)
-			return sweep.RunTrials(trials(cfg), seed, cfg.Workers, func(tr sweep.Trial) sweep.Metrics {
+			return sweep.RunTrialsScratch(trials(cfg), seed, cfg.Workers, newTrialScratch, func(tr sweep.Trial) sweep.Metrics {
+				gs := scratchOf(tr).graph
 				protoRNG := rng.New(rng.SubSeed(tr.Seed, 1))
 				proto := core.NewAlgorithm3(n, dGuess, 8) // wide window: survives epochs
 				sess := radio.NewBroadcastSession(n, 0, proto, protoRNG)
@@ -199,7 +200,7 @@ func x6Campaign() campaign.Campaign {
 					if sc.dynamic {
 						gseed = rng.SubSeed(tr.Seed, uint64(100+e)) // nodes moved
 					}
-					g, _ := graph.RandomGeometric(n, sc.radius, sc.radius, rng.New(gseed))
+					g, _ := gs.RandomGeometric(n, sc.radius, sc.radius, rng.New(gseed))
 					res = sess.Run(g, radio.Options{MaxRounds: epochLen, StopWhenInformed: true})
 					if res.Completed() {
 						break

@@ -117,8 +117,8 @@ func x7Campaign() campaign.Campaign {
 				budget := pt.Data.(int)
 				n2 := 1 << 12
 				p := sparseP(n2)
-				return sweep.RunTrials(trials(cfg), seed, cfg.Workers, func(tr sweep.Trial) sweep.Metrics {
-					gg := graph.GNPDirected(n2, p, rng.New(tr.Seed))
+				return sweep.RunTrialsScratch(trials(cfg), seed, cfg.Workers, newTrialScratch, func(tr sweep.Trial) sweep.Metrics {
+					gg := scratchOf(tr).graph.GNPDirected(n2, p, rng.New(tr.Seed))
 					bl := baseline.NewBatteryLimited(core.NewAlgorithm1(p), budget)
 					res := radio.RunBroadcast(gg, 0, bl, rng.New(rng.SubSeed(tr.Seed, 1)),
 						radio.Options{MaxRounds: 10000})

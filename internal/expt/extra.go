@@ -110,7 +110,7 @@ func x1Campaign() campaign.Campaign {
 			}
 			return runBroadcastTrials(cfg, seed, broadcastTrial{
 				makeGraph: func(seed uint64, sc *graph.Scratch) (*graph.Digraph, graph.NodeID) {
-					g, _ := graph.RandomGeometric(n, rmin, rmax, rng.New(seed))
+					g, _ := sc.RandomGeometric(n, rmin, rmax, rng.New(seed))
 					return g, 0
 				},
 				makeProto: makeProto,

@@ -7,7 +7,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/sweep"
@@ -71,7 +70,7 @@ func e6Campaign() campaign.Campaign {
 				p := p0.d / float64(p0.n)
 				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					ts := scratchOf(tr)
-					g := graph.GNPDirected(p0.n, p, rng.New(tr.Seed))
+					g := ts.graph.GNPDirected(p0.n, p, rng.New(tr.Seed))
 					a := core.NewAlgorithm2(p)
 					res := radio.RunGossipWith(ts.gossip, g, a, rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
 						MaxRounds: a.RoundBudget(p0.n), StopWhenComplete: true,
@@ -92,7 +91,7 @@ func e6Campaign() campaign.Campaign {
 				}
 				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					ts := scratchOf(tr)
-					g := graph.GNPDirected(n, p, rng.New(tr.Seed))
+					g := ts.graph.GNPDirected(n, p, rng.New(tr.Seed))
 					res := radio.RunGossipWith(ts.gossip, g, makeProto(), rng.New(rng.SubSeed(tr.Seed, 1)),
 						radio.GossipOptions{MaxRounds: caps, StopWhenComplete: true})
 					return gossipMetrics(res)
@@ -104,8 +103,8 @@ func e6Campaign() campaign.Campaign {
 				nc := 128
 				pc := 0.4 // np² = 20: every component broadcast has safe Phase-3 capacity
 				if pt.Data.(string) == "sequential" {
-					return sweep.RunTrials(trials(cfg), seed, cfg.Workers, func(tr sweep.Trial) sweep.Metrics {
-						g := graph.GNPDirected(nc, pc, rng.New(tr.Seed))
+					return sweep.RunTrialsScratch(trials(cfg), seed, cfg.Workers, newTrialScratch, func(tr sweep.Trial) sweep.Metrics {
+						g := scratchOf(tr).graph.GNPDirected(nc, pc, rng.New(tr.Seed))
 						res := core.RunSequentialGossip(g, pc, rng.New(rng.SubSeed(tr.Seed, 1)), 10000)
 						m := sweep.Metrics{"success": 0, "rounds": float64(res.Rounds), "tx": float64(res.TotalTx)}
 						if res.Success() {
@@ -116,7 +115,7 @@ func e6Campaign() campaign.Campaign {
 				}
 				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					ts := scratchOf(tr)
-					g := graph.GNPDirected(nc, pc, rng.New(tr.Seed))
+					g := ts.graph.GNPDirected(nc, pc, rng.New(tr.Seed))
 					a := core.NewAlgorithm2(pc)
 					res := radio.RunGossipWith(ts.gossip, g, a, rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
 						MaxRounds: a.RoundBudget(nc), StopWhenComplete: true,

@@ -104,7 +104,7 @@ func s1Build(p s1Point, seed uint64, sc *graph.Scratch) (graph.Implicit, radio.B
 		ig := graph.NewImplicitGNP(p.n, prob, gseed)
 		proto := core.NewAlgorithm1(prob)
 		if p.mode == "csr" {
-			return graph.MaterializeImplicit(ig), proto
+			return sc.Materialize(ig), proto
 		}
 		return ig, proto
 	case "rgg":

@@ -24,33 +24,10 @@ func GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 // Erdős–Rényi setting: strong radios (large p_u) are heard widely but hear
 // only whoever reaches them, so links are asymmetric and out-degrees vary by
 // a factor pmax/pmin. Returns the digraph and the per-node probabilities.
+// It is a fresh-Scratch wrapper for one-off use; trial loops call
+// Scratch.GNPHetero to reuse the storage.
 func GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float64) {
-	if pmin < 0 || pmax > 1 || pmin > pmax {
-		panic("graph: GNPHetero needs 0 <= pmin <= pmax <= 1")
-	}
-	ps := make([]float64, n)
-	for i := range ps {
-		ps[i] = pmin + (pmax-pmin)*r.Float64()
-	}
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		p := ps[u]
-		if p <= 0 {
-			continue
-		}
-		// Geometric skipping over the n-1 potential targets of u.
-		lg := math.Log1p(-p)
-		idx := r.GeometricLog(lg)
-		for idx < n-1 {
-			v := NodeID(idx)
-			if v >= NodeID(u) {
-				v++
-			}
-			b.AddEdge(NodeID(u), v)
-			idx += 1 + r.GeometricLog(lg)
-		}
-	}
-	return b.Build(), ps
+	return NewScratch().GNPHetero(n, pmin, pmax, r)
 }
 
 // GNPSymmetric samples an undirected G(n,p) and orients every edge both ways,
@@ -341,28 +318,29 @@ type GeometricPoint struct {
 // heterogeneous radii (rmin < rmax) links become asymmetric, reproducing the
 // paper's motivation that one device may hear another but not vice versa.
 // Returns the digraph and the sampled points. Runs in O(n + m) expected time
-// using a uniform grid of cell size rmax.
+// using a uniform grid of cell size rmax. It is a fresh-Scratch wrapper for
+// one-off use; trial loops call Scratch.RandomGeometric.
 func RandomGeometric(n int, rmin, rmax float64, r *rng.RNG) (*Digraph, []GeometricPoint) {
-	if n < 1 {
-		panic("graph: geometric needs n >= 1")
-	}
+	return NewScratch().RandomGeometric(n, rmin, rmax, r)
+}
+
+// RandomGeometric is graph.RandomGeometric writing into the scratch's
+// reusable storage. Its draw order (x, y, then the radius when rmin < rmax,
+// node by node) differs from Geometric's, which samples every position
+// before any radius, so the two are distinct streams at equal seeds.
+func (s *Scratch) RandomGeometric(n int, rmin, rmax float64, r *rng.RNG) (*Digraph, []GeometricPoint) {
 	if rmin <= 0 || rmax < rmin || rmax > math.Sqrt2 {
 		panic("graph: geometric needs 0 < rmin <= rmax <= sqrt(2)")
 	}
-	pts := make([]GeometricPoint, n)
-	for i := range pts {
-		pts[i] = GeometricPoint{X: r.Float64(), Y: r.Float64(), Radius: rmin}
+	if cap(s.pts) < n {
+		s.pts = make([]GeometricPoint, n)
+	}
+	s.pts = s.pts[:n]
+	for i := range s.pts {
+		s.pts[i] = GeometricPoint{X: r.Float64(), Y: r.Float64(), Radius: rmin}
 		if rmax > rmin {
-			pts[i].Radius = rmin + (rmax-rmin)*r.Float64()
+			s.pts[i].Radius = rmin + (rmax-rmin)*r.Float64()
 		}
 	}
-	g := GeometricFromPoints(pts)
-	return g, pts
-}
-
-// GeometricFromPoints builds the heterogeneous-range geometric digraph for a
-// fixed set of points (u → v iff dist(u,v) ≤ pts[u].Radius) via the cell-grid
-// index (see Scratch.FromPoints).
-func GeometricFromPoints(pts []GeometricPoint) *Digraph {
-	return NewScratch().FromPoints(pts, false)
+	return s.FromPoints(s.pts, false), s.pts
 }

@@ -182,12 +182,7 @@ func (s *Scratch) Geometric(spec GeomSpec, r *rng.RNG) (*Digraph, []GeometricPoi
 // is not retained.
 func (s *Scratch) FromPoints(pts []GeometricPoint, torus bool) *Digraph {
 	n := len(pts)
-	if n < 1 {
-		panic("graph: geometric needs at least one point")
-	}
-	if n > 1<<31-1 {
-		panic("graph: too many nodes for int32 ids")
-	}
+	g := s.begin(n)
 	rmax := 0.0
 	for i := range pts {
 		if pts[i].Radius > rmax {
@@ -246,13 +241,6 @@ func (s *Scratch) FromPoints(pts []GeometricPoint, torus bool) *Digraph {
 		s.cellIDs[s.cellOff[c]+int(s.pos[c])] = NodeID(i)
 		s.pos[c]++
 	}
-
-	g := &s.g
-	g.n = n
-	g.outOff = growOffsets(g.outOff, n+1)
-	g.inOff = growOffsets(g.inOff, n+1)
-	g.outTo = g.outTo[:0]
-	g.outOff[0] = 0
 
 	// For each node, scan its 3×3 cell neighbourhood (deduplicated, so tiny
 	// grids and torus wrap-around never double-count a cell) and keep the

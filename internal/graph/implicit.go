@@ -67,35 +67,26 @@ var _ Implicit = (*ImplicitGeom)(nil)
 
 // MaterializeImplicit builds the explicit CSR digraph with exactly the edge
 // set g serves — the overlap-size bridge for the equivalence tests and for
-// campaign points that compare the two representations. Rows arrive sorted
-// (the Implicit contract), so the out-CSR assembles by concatenation and the
-// in-adjacency by one counting transpose, matching the Builder invariants.
+// campaign points that compare the two representations. It is a
+// fresh-Scratch wrapper for one-off use; trial loops call
+// Scratch.Materialize.
 func MaterializeImplicit(g Implicit) *Digraph {
+	return NewScratch().Materialize(g)
+}
+
+// Materialize is MaterializeImplicit writing into the scratch's reusable
+// storage. Rows arrive sorted (the Implicit contract), so the out-CSR
+// assembles by appending rows in u order and the in-adjacency follows from
+// finishIn's counting transpose, matching the Builder invariants. g must not
+// be this scratch's own digraph.
+func (s *Scratch) Materialize(g Implicit) *Digraph {
 	n := g.N()
-	d := &Digraph{
-		n:      n,
-		outOff: make([]int, n+1),
-		inOff:  make([]int, n+1),
-	}
+	d := s.begin(n)
 	for u := 0; u < n; u++ {
 		d.outTo = g.AppendOut(NodeID(u), d.outTo)
 		d.outOff[u+1] = len(d.outTo)
 	}
-	m := len(d.outTo)
-	d.inTo = make([]NodeID, m)
-	for _, v := range d.outTo {
-		d.inOff[v+1]++
-	}
-	for v := 0; v < n; v++ {
-		d.inOff[v+1] += d.inOff[v]
-	}
-	pos := make([]int32, n)
-	for u := 0; u < n; u++ {
-		for _, v := range d.outTo[d.outOff[u]:d.outOff[u+1]] {
-			d.inTo[d.inOff[v]+int(pos[v])] = NodeID(u)
-			pos[v]++
-		}
-	}
+	s.finishIn()
 	return d
 }
 

@@ -12,15 +12,23 @@ import (
 // a collision-free schedule.
 func BFS(g *Digraph, src NodeID) []int {
 	dist := make([]int, g.N())
+	bfsInto(g, src, dist, make([]NodeID, 0, g.N()))
+	return dist
+}
+
+// bfsInto is BFS into caller storage: dist (length g.N()) is overwritten and
+// queue's backing array reused. It returns the queue, which holds every node
+// reached in visit order — its length is the reachable count and, since BFS
+// dequeues in nondecreasing distance, its last entry is a farthest node.
+// With cap(queue) >= g.N() it does not allocate.
+func bfsInto(g *Digraph, src NodeID, dist []int, queue []NodeID) []NodeID {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := make([]NodeID, 0, 64)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		du := dist[u]
 		for _, v := range g.Out(u) {
 			if dist[v] < 0 {
@@ -29,37 +37,35 @@ func BFS(g *Digraph, src NodeID) []int {
 			}
 		}
 	}
-	return dist
+	return queue
 }
 
 // Eccentricity returns the maximum finite BFS distance from src, together
 // with the number of nodes reachable from src (including src itself).
 func Eccentricity(g *Digraph, src NodeID) (ecc, reachable int) {
-	dist := BFS(g, src)
-	for _, d := range dist {
-		if d < 0 {
-			continue
-		}
-		reachable++
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, reachable
+	return eccentricity(g, src, make([]int, g.N()), make([]NodeID, 0, g.N()))
+}
+
+// eccentricity is Eccentricity over bfsInto's reusable buffers.
+func eccentricity(g *Digraph, src NodeID, dist []int, queue []NodeID) (ecc, reachable int) {
+	queue = bfsInto(g, src, dist, queue)
+	return dist[queue[len(queue)-1]], len(queue)
 }
 
 // Diameter returns the exact directed diameter: the maximum over all ordered
 // pairs (u,v) with v reachable from u of dist(u,v). This runs one BFS per
-// node (O(n·m)); use DiameterSampled for large graphs. The second return
-// value is false if some ordered pair is unreachable (infinite diameter in
-// the strongly-connected sense); the reported value then covers reachable
-// pairs only.
+// node (O(n·m)) over one set of buffers; use DiameterSampled for large
+// graphs. The second return value is false if some ordered pair is
+// unreachable (infinite diameter in the strongly-connected sense); the
+// reported value then covers reachable pairs only.
 func Diameter(g *Digraph) (int, bool) {
+	n := g.N()
+	dist, queue := make([]int, n), make([]NodeID, 0, n)
 	diam := 0
 	strongly := true
-	for v := 0; v < g.N(); v++ {
-		ecc, reach := Eccentricity(g, NodeID(v))
-		if reach != g.N() {
+	for v := 0; v < n; v++ {
+		ecc, reach := eccentricity(g, NodeID(v), dist, queue)
+		if reach != n {
 			strongly = false
 		}
 		if ecc > diam {
@@ -77,14 +83,10 @@ func DiameterSampled(g *Digraph, k int, r *rng.RNG) int {
 		d, _ := Diameter(g)
 		return d
 	}
-	diam := 0
-	ecc0, _ := Eccentricity(g, 0)
-	if ecc0 > diam {
-		diam = ecc0
-	}
+	dist, queue := make([]int, g.N()), make([]NodeID, 0, g.N())
+	diam, _ := eccentricity(g, 0, dist, queue)
 	for _, src := range r.SampleWithoutReplacement(g.N(), k) {
-		ecc, _ := Eccentricity(g, NodeID(src))
-		if ecc > diam {
+		if ecc, _ := eccentricity(g, NodeID(src), dist, queue); ecc > diam {
 			diam = ecc
 		}
 	}

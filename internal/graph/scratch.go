@@ -8,12 +8,16 @@ import (
 
 // Scratch reuses CSR adjacency storage across repeated graph generations —
 // the experiment harness keeps one per worker so trial loops stop paying an
-// allocation and a global edge sort per trial. The graph returned by a
-// generation call aliases the Scratch's storage and is valid only until the
-// next call.
+// allocation and a global edge sort per trial. It hosts every generator a
+// trial loop calls: GNPDirected, GNPHetero, Geometric, RandomGeometric,
+// FromPoints and Materialize (the package-level functions of the same names
+// are fresh-Scratch wrappers for one-off use). The graph, and the points or
+// probabilities, returned by a generation call alias the Scratch's storage
+// and are valid only until the next call.
 type Scratch struct {
 	g   Digraph
-	pos []int32 // per-node fill cursor for the in-adjacency pass
+	pos []int32   // per-node fill cursor for the in-adjacency pass
+	ps  []float64 // per-node edge probabilities (GNPHetero)
 
 	// Geometric-generation storage (see geom.go): sampled points, clustered-
 	// placement parent sites, and the cell-grid spatial index (CSR buckets of
@@ -41,17 +45,12 @@ func growIDs(s []NodeID, n int) []NodeID {
 	return s[:n]
 }
 
-// GNPDirected is graph.GNPDirected writing into the scratch's reusable
-// storage. It consumes the RNG identically to the package-level function
-// and produces an identical graph, but builds the CSR form directly:
-// geometric skipping emits edges already sorted by (u, v), so no edge-list
-// sort is needed, and the in-adjacency follows from one counting pass.
-func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
-	if p < 0 || p > 1 {
-		panic("graph: GNP needs p in [0,1]")
-	}
+// begin validates n and resets the scratch digraph to n nodes with an empty
+// out-adjacency, ready for rows to be appended in u order (each row closed
+// by setting outOff[u+1]) and for finishIn.
+func (s *Scratch) begin(n int) *Digraph {
 	if n < 1 {
-		panic("graph: GNP needs n >= 1")
+		panic("graph: generator needs n >= 1")
 	}
 	if n > 1<<31-1 {
 		panic("graph: too many nodes for int32 ids")
@@ -61,13 +60,25 @@ func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 	g.outOff = growOffsets(g.outOff, n+1)
 	g.inOff = growOffsets(g.inOff, n+1)
 	g.outTo = g.outTo[:0]
+	g.outOff[0] = 0
+	return g
+}
 
+// GNPDirected is graph.GNPDirected writing into the scratch's reusable
+// storage. It consumes the RNG identically to the package-level function
+// and produces an identical graph, but builds the CSR form directly:
+// geometric skipping emits edges already sorted by (u, v), so no edge-list
+// sort is needed, and the in-adjacency follows from one counting pass.
+func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
+	if p < 0 || p > 1 {
+		panic("graph: GNP needs p in [0,1]")
+	}
+	g := s.begin(n)
+	cur := 0
 	if p > 0 && n > 1 {
 		// Geometric skipping over the linear index of ordered non-diagonal
 		// pairs; indices arrive in increasing order, i.e. sorted by (u, v).
 		total := uint64(n) * uint64(n-1)
-		cur := 0
-		g.outOff[0] = 0
 		lg := math.Log1p(-p)
 		idx := uint64(r.GeometricLog(lg))
 		for idx < total {
@@ -83,18 +94,48 @@ func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 			g.outTo = append(g.outTo, v)
 			idx += 1 + uint64(r.GeometricLog(lg))
 		}
-		for cur < n {
-			cur++
-			g.outOff[cur] = len(g.outTo)
-		}
-	} else {
-		for i := range g.outOff {
-			g.outOff[i] = 0
-		}
 	}
-
+	for cur < n {
+		cur++
+		g.outOff[cur] = len(g.outTo)
+	}
 	s.finishIn()
 	return g
+}
+
+// GNPHetero is graph.GNPHetero writing into the scratch's reusable storage:
+// the same draws in the same order (every p_u first, then one geometric
+// skip stream per row u), with rows emitted straight into CSR. Targets
+// arrive increasing and duplicate-free, so no edge list or sort is needed.
+// The returned probabilities alias scratch storage too.
+func (s *Scratch) GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float64) {
+	if pmin < 0 || pmax > 1 || pmin > pmax {
+		panic("graph: GNPHetero needs 0 <= pmin <= pmax <= 1")
+	}
+	g := s.begin(n)
+	if cap(s.ps) < n {
+		s.ps = make([]float64, n)
+	}
+	s.ps = s.ps[:n]
+	for i := range s.ps {
+		s.ps[i] = pmin + (pmax-pmin)*r.Float64()
+	}
+	for u, p := range s.ps {
+		if p > 0 {
+			// Geometric skipping over the n-1 potential targets of u.
+			lg := math.Log1p(-p)
+			for idx := r.GeometricLog(lg); idx < n-1; idx += 1 + r.GeometricLog(lg) {
+				v := NodeID(idx)
+				if v >= NodeID(u) {
+					v++
+				}
+				g.outTo = append(g.outTo, v)
+			}
+		}
+		g.outOff[u+1] = len(g.outTo)
+	}
+	s.finishIn()
+	return g, s.ps
 }
 
 // finishIn derives the in-adjacency of s.g from its completed out-adjacency

@@ -13,7 +13,10 @@
 // sharing a generator behind a lock.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256++ generator. The zero value is invalid; use New.
 type RNG struct {
@@ -322,9 +325,10 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 }
 
 // SampleWithoutReplacement returns k distinct uniform values from [0, n) in
-// increasing order. It panics if k > n or either is negative. For k close to
-// n it uses a partial Fisher–Yates; for small k, rejection into a set would
-// allocate, so we use Floyd's algorithm.
+// increasing order. It panics if k > n or either is negative. Floyd's
+// algorithm draws the k picks (one Intn each) into an n-bit set, which is
+// then read out word by word, already sorted: O(k + n/64) time and two
+// allocations, the set and the result.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k < 0 || n < 0 || k > n {
 		panic("rng: invalid SampleWithoutReplacement arguments")
@@ -332,21 +336,18 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	// Floyd's algorithm: O(k) expected, no O(n) allocation.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
+	chosen := make([]uint64, (n+63)/64)
 	for j := n - k; j < n; j++ {
 		t := r.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
-			t = j
+		if chosen[t>>6]&(1<<(t&63)) != 0 {
+			t = j // j exceeds every earlier pick, so it is always free
 		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
+		chosen[t>>6] |= 1 << (t & 63)
 	}
-	// Insertion sort (k is typically small; avoids importing sort).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	out := make([]int, 0, k)
+	for w, word := range chosen {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
 		}
 	}
 	return out

@@ -101,3 +101,37 @@ func TestSkipSampleStreamPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleWithoutReplacementPinned pins the sampler's output stream and
+// its RNG consumption to digests recorded from the map-and-insertion-sort
+// implementation it replaced: the same Intn draws and the same duplicate
+// rule must give the same sorted sets, edge cases (k = 0, k = n, n around a
+// word boundary) included.
+func TestSampleWithoutReplacementPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, k int
+		want uint64
+	}{
+		{1, 1, 0x42d6851a0323489b},
+		{63, 0, 0xc1213db0eb7a338f},
+		{64, 64, 0x90084c8c05ad1aa2},
+		{65, 1, 0x2521f8446dfe5819},
+		{1000, 7, 0xf63095a1a7cdeaa},
+		{1000, 400, 0xff68d4465dae77b6},
+		{4096, 4096, 0xcc966e3c8b69f0b1},
+	} {
+		// Three draws per case, FNV-folded with a separator, then one more
+		// Uint64 so a change in draw count shows even when the sets agree.
+		r := New(uint64(c.n)<<20 | uint64(c.k))
+		h := uint64(14695981039346656037)
+		for rep := 0; rep < 3; rep++ {
+			for _, v := range r.SampleWithoutReplacement(c.n, c.k) {
+				h = (h ^ uint64(v)) * 1099511628211
+			}
+			h = (h ^ 0xff) * 1099511628211
+		}
+		if got := h ^ r.Uint64(); got != c.want {
+			t.Errorf("SampleWithoutReplacement(%d, %d) digest %#x, want %#x", c.n, c.k, got, c.want)
+		}
+	}
+}

@@ -31,6 +31,9 @@ BEGIN {
   # per op (the session itself is GossipScratch-recycled); measured 3
   # allocs/op, budget 8 for headroom.
   budget["BenchmarkPrimitiveGossipRun"] = 8
+  # Per-trial topology rebuild (Scratch.GNPHetero + Scratch.Materialize) on
+  # a warm graph.Scratch: trial loops must not allocate graph storage.
+  budget["BenchmarkPrimitiveTrialGraphRebuild"] = 0
 }
 /^BenchmarkPrimitive/ {
   name = $1
