@@ -191,6 +191,9 @@ type Decay struct {
 	retired    []bool
 }
 
+// halfLaw is Decay's per-phase Geometric(1/2), hoisted out of the draws.
+var halfLaw = rng.NewGeometricLaw(0.5)
+
 // NewDecay returns the protocol with the given per-node phase budget.
 func NewDecay(phases int) *Decay {
 	if phases < 1 {
@@ -243,7 +246,7 @@ func (d *Decay) ShouldTransmit(round int, v graph.NodeID) bool {
 	inPhase := age % d.l
 	if inPhase == 0 {
 		// New phase: plan 1 + Geometric(1/2) transmitting rounds, capped.
-		k := 1 + d.r.Geometric(0.5)
+		k := 1 + halfLaw.Draw(d.r)
 		if k > d.l {
 			k = d.l
 		}

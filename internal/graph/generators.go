@@ -40,19 +40,19 @@ func GNPSymmetric(n int, p float64, r *rng.RNG) *Digraph {
 	if p == 0 || n == 1 {
 		return b.Build()
 	}
+	// Geometric skipping over the linear index of unordered pairs {u<v}:
+	// row u holds the n-1-u indices [base, base+row), and the cursor moves
+	// forward row by row as the increasing indices leave it.
 	total := uint64(n) * uint64(n-1) / 2
-	lg := math.Log1p(-p) // -Inf at p == 1: GeometricLog then draws nothing
-	idx := uint64(r.GeometricLog(lg))
-	for idx < total {
-		// Map linear index over unordered pairs {u<v}: row u holds n-1-u pairs.
-		u, rem := uint64(0), idx
-		for rem >= uint64(n-1)-u {
-			rem -= uint64(n-1) - u
+	law := rng.NewGeometricLaw(p) // p == 1 draws nothing: every pair is an edge
+	u, base, row := uint64(0), uint64(0), uint64(n-1)
+	for idx := uint64(law.Draw(r)); idx < total; idx += 1 + uint64(law.Draw(r)) {
+		for idx-base >= row {
+			base += row
+			row--
 			u++
 		}
-		v := u + 1 + rem
-		b.AddBoth(NodeID(u), NodeID(v))
-		idx += 1 + uint64(r.GeometricLog(lg))
+		b.AddBoth(NodeID(u), NodeID(u+1+idx-base))
 	}
 	return b.Build()
 }

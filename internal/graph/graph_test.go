@@ -181,6 +181,47 @@ func TestGNPSymmetric(t *testing.T) {
 	}
 }
 
+// gnpSymmetricOracle is GNPSymmetric's earlier body, which searched each
+// edge's row from row 0 (O(n) per edge), kept as the oracle for the
+// incremental row cursor.
+func gnpSymmetricOracle(n int, p float64, r *rng.RNG) *Digraph {
+	b := NewBuilder(n)
+	if p == 0 || n == 1 {
+		return b.Build()
+	}
+	total := uint64(n) * uint64(n-1) / 2
+	idx := uint64(r.Geometric(p))
+	for idx < total {
+		u, rem := uint64(0), idx
+		for rem >= uint64(n-1)-u {
+			rem -= uint64(n-1) - u
+			u++
+		}
+		b.AddBoth(NodeID(u), NodeID(u+1+rem))
+		idx += 1 + uint64(r.Geometric(p))
+	}
+	return b.Build()
+}
+
+func TestGNPSymmetricMatchesRowSearch(t *testing.T) {
+	for _, c := range []struct {
+		n int
+		p float64
+	}{
+		{1, 0.5}, {1, 1}, {2, 1}, {2, 0.5}, {7, 1}, {50, 0}, {50, 0.3},
+		{300, 0.02}, {1000, 1e-3}, {2000, 5e-5}, {64, 0.999},
+	} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			got := GNPSymmetric(c.n, c.p, rng.New(seed))
+			want := gnpSymmetricOracle(c.n, c.p, rng.New(seed))
+			if !digraphsEqual(got, want) {
+				t.Fatalf("n=%d p=%g seed=%d: GNPSymmetric differs from the row-search oracle (m %d vs %d)",
+					c.n, c.p, seed, got.M(), want.M())
+			}
+		}
+	}
+}
+
 func TestStar(t *testing.T) {
 	g := Star(4)
 	if g.N() != 5 || g.M() != 8 {

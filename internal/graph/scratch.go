@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"math"
-
 	"repro/internal/rng"
 )
 
@@ -78,21 +76,23 @@ func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 	if p > 0 && n > 1 {
 		// Geometric skipping over the linear index of ordered non-diagonal
 		// pairs; indices arrive in increasing order, i.e. sorted by (u, v).
-		total := uint64(n) * uint64(n-1)
-		lg := math.Log1p(-p)
-		idx := uint64(r.GeometricLog(lg))
-		for idx < total {
-			u := int(idx / uint64(n-1))
-			v := NodeID(idx % uint64(n-1))
-			if v >= NodeID(u) {
-				v++
-			}
-			for cur < u {
+		// Row cur holds the indices [base, base+row): the cursor advances
+		// row by row instead of dividing each index by n-1.
+		row := uint64(n - 1)
+		total := uint64(n) * row
+		law := rng.NewGeometricLaw(p)
+		base := uint64(0)
+		for idx := uint64(law.Draw(r)); idx < total; idx += 1 + uint64(law.Draw(r)) {
+			for idx-base >= row {
+				base += row
 				cur++
 				g.outOff[cur] = len(g.outTo)
 			}
+			v := NodeID(idx - base)
+			if v >= NodeID(cur) {
+				v++
+			}
 			g.outTo = append(g.outTo, v)
-			idx += 1 + uint64(r.GeometricLog(lg))
 		}
 	}
 	for cur < n {
@@ -123,8 +123,8 @@ func (s *Scratch) GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []
 	for u, p := range s.ps {
 		if p > 0 {
 			// Geometric skipping over the n-1 potential targets of u.
-			lg := math.Log1p(-p)
-			for idx := r.GeometricLog(lg); idx < n-1; idx += 1 + r.GeometricLog(lg) {
+			law := rng.NewGeometricLaw(p)
+			for idx := law.Draw(r); idx < n-1; idx += 1 + law.Draw(r) {
 				v := NodeID(idx)
 				if v >= NodeID(u) {
 					v++

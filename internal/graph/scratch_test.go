@@ -122,15 +122,14 @@ func builderGNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float6
 		if p <= 0 {
 			continue
 		}
-		lg := math.Log1p(-p)
-		idx := r.GeometricLog(lg)
+		idx := r.Geometric(p)
 		for idx < n-1 {
 			v := NodeID(idx)
 			if v >= NodeID(u) {
 				v++
 			}
 			b.AddEdge(NodeID(u), v)
-			idx += 1 + r.GeometricLog(lg)
+			idx += 1 + r.Geometric(p)
 		}
 	}
 	return b.Build(), ps

@@ -1,8 +1,6 @@
 package radio
 
 import (
-	"math"
-
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -22,12 +20,12 @@ type TxSet struct {
 	// skip before the next selected position of the concatenated
 	// Bernoulli(streamQ) stream. Valid only while streamOK; a draw with a
 	// different probability restarts the stream (the remainder of a
-	// Geometric(q') overshoot is memoryless only for q'). streamLg is
-	// math.Log1p(-streamQ), hoisted out of the per-selection draws.
-	gap      int
-	streamQ  float64
-	streamLg float64
-	streamOK bool
+	// Geometric(q') overshoot is memoryless only for q'). streamLaw is
+	// Geometric(streamQ)'s law, hoisted out of the per-selection draws.
+	gap       int
+	streamQ   float64
+	streamLaw rng.GeometricLaw
+	streamOK  bool
 }
 
 // Reset readies the set for a fresh run on an n-node network, reusing the
@@ -85,8 +83,8 @@ func (s *TxSet) DrawRange(r *rng.RNG, n int, p float64, round int) {
 // stream when q changed since the carry was drawn.
 func (s *TxSet) ensureStream(r *rng.RNG, q float64) {
 	if !s.streamOK || s.streamQ != q {
-		s.streamLg = math.Log1p(-q)
-		s.gap = r.GeometricLog(s.streamLg)
+		s.streamLaw = rng.NewGeometricLaw(q)
+		s.gap = s.streamLaw.Draw(r)
 		s.streamQ = q
 		s.streamOK = true
 	}
@@ -119,7 +117,7 @@ func (s *TxSet) DrawListStream(r *rng.RNG, list []graph.NodeID, q float64, round
 		pos += s.gap
 		s.Add(list[pos], round)
 		pos++
-		s.gap = r.GeometricLog(s.streamLg)
+		s.gap = s.streamLaw.Draw(r)
 	}
 	s.gap -= k - pos
 }
@@ -142,7 +140,7 @@ func (s *TxSet) DrawRangeStream(r *rng.RNG, n int, q float64, round int) {
 		pos += s.gap
 		s.Add(graph.NodeID(pos), round)
 		pos++
-		s.gap = r.GeometricLog(s.streamLg)
+		s.gap = s.streamLaw.Draw(r)
 	}
 	s.gap -= n - pos
 }

@@ -11,6 +11,18 @@
 // The generator is NOT safe for concurrent use; callers derive independent
 // substreams with Split (one per goroutine, node, or trial) instead of
 // sharing a generator behind a lock.
+//
+// Geometric draws, which the G(n,p) generators and every skip-sampled
+// transmit decision make once per edge or transmitter, go through a
+// GeometricLaw: the count floor(log(u)/log(1-p)) is computed with a
+// table-driven log and a hoisted reciprocal instead of math.Log and a
+// division. The fast step has a proven error band (the fast log's
+// truncation, math.Log's documented sub-ulp error, and the reciprocal and
+// multiply roundings against the divide's); whenever its quotient lies
+// within a guard band that covers that error of an integer, the draw falls
+// back to the exact division. Every draw thus returns the count the plain
+// division gives for the same uniform, and every stream is bit-identical
+// to it; GeometricLaw spells out the budget.
 package rng
 
 import (
@@ -150,40 +162,131 @@ func (r *RNG) Bernoulli(p float64) bool {
 
 // Geometric returns the number of Bernoulli(p) failures before the first
 // success, i.e. a sample from the geometric distribution on {0, 1, 2, ...}
-// with mean (1-p)/p. It panics unless 0 < p <= 1. For small p it uses the
-// inversion formula floor(log(U)/log(1-p)) which is O(1).
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
+// with mean (1-p)/p. It panics unless 0 < p <= 1. Callers drawing many
+// samples at one p build the GeometricLaw once instead.
+func (r *RNG) Geometric(p float64) int { return NewGeometricLaw(p).Draw(r) }
+
+// The fast inversion step trusts floor(q') of its approximate quotient q'
+// only when q' lies farther than guard/|lg| from every integer and below
+// fastCap; GeometricLaw gives the error budget the guard covers.
+const (
+	guard   = 0x1p-36
+	fastCap = 1 << 30
+)
+
+// GeometricLaw is the geometric distribution of Geometric(p) with its
+// per-p constants precomputed, for loops that draw many samples at one p.
+// A draw returns floor(log(u)/lg) for a uniform u in (0, 1) and
+// lg = math.Log1p(-p), capped at MaxInt32, exactly as the reference
+// inversion geometricInv computes it, but without its math.Log call and
+// division on all but a tiny fraction of draws.
+//
+// The fast step computes q' = L·(1/lg), where L is a table-driven log (see
+// fastLog) and 1/lg is hoisted into the law. It differs from the
+// reference quotient q = fl(math.Log(u)/lg) through three error sources:
+//
+//   - the fast log: |L - ln u| <= 2^-51·|ln u| + 2^-37.98, dominated by the
+//     truncation of its degree-3 polynomial (|r|^4/4 with |r| <= 2^-9);
+//   - math.Log, which is documented to err by under 1 ulp (2^-52
+//     relative);
+//   - rounding the reciprocal and the multiply (2^-53 each) against
+//     rounding the divide (2^-53).
+//
+// Together they give |q' - q| <= (7·2^-53·|ln u| + 2^-37.97)/|lg|. A normal
+// u has |ln u| < 709, so the bound is below 2^-37.77/|lg| (2^-37.95/|lg| for
+// the uniforms Float64 returns, |ln u| <= 36.8). The guard band
+// guard/|lg| = 2^-36/|lg| covers it with a margin of more than 3.4, so
+// whenever q' clears the band no integer lies between q' and q and
+// floor(q') = floor(q). Every other uniform falls back to geometricInv
+// itself, as do quotients at or above 2^30 (where the MaxInt32 cap could
+// apply). Each draw therefore returns exactly the reference count from the
+// same single uniform, and every stream stays bit-identical to the plain
+// division's. An unguarded multiply would not be: near an integer, log(u)
+// times 1/lg and log(u)/lg can floor to different counts (the rng tests
+// hold such uniforms).
+//
+// The zero value is invalid; use NewGeometricLaw.
+type GeometricLaw struct {
+	lg  float64 // math.Log1p(-p): the exact fallback's divisor, -Inf at p = 1
+	inv float64 // 1/lg, the fast step's multiplier (-0 at p = 1)
+	lo  float64 // guard/|lg|, the half-width of the guard band
+}
+
+// NewGeometricLaw returns the law of Geometric(p). It panics unless
+// 0 < p <= 1.
+func NewGeometricLaw(p float64) GeometricLaw {
+	if !(p > 0 && p <= 1) {
 		panic("rng: Geometric needs 0 < p <= 1")
 	}
-	if p == 1 {
-		return 0
-	}
-	return r.GeometricLog(math.Log1p(-p))
+	lg := math.Log1p(-p)
+	inv := 1 / lg
+	return GeometricLaw{lg: lg, inv: inv, lo: -guard * inv}
 }
 
-// GeometricLog is Geometric with the divisor precomputed: lg must be
-// math.Log1p(-p) for the caller's p, which callers drawing many samples at
-// one p hoist out of their loop. The draws and the divisor are exactly
-// Geometric's, so the two return identical streams (the rng tests pin
-// this; replacing the division by a reciprocal multiply would not be
-// bit-identical). It panics unless lg < 0; lg = -Inf (p = 1) returns 0
-// without consuming randomness, as Geometric(1) does.
-func (r *RNG) GeometricLog(lg float64) int {
-	if !(lg < 0) {
-		panic("rng: GeometricLog needs lg = Log1p(-p) < 0")
-	}
-	if math.IsInf(lg, -1) {
+// Draw returns one sample of the law, consuming one Float64 (redrawn while
+// it is 0). At p = 1 it returns 0 without consuming randomness.
+func (l GeometricLaw) Draw(r *RNG) int {
+	if l.inv == 0 { // p = 1
 		return 0
 	}
-	u := r.Float64()
+	var u float64
 	for u == 0 {
-		u = r.Float64()
+		u = float64(r.Uint64()>>11) * 0x1p-53 // Float64, which the compiler does not inline
 	}
-	return geometricInv(u, lg)
+	if k, ok := l.step(float64(fastLog(u) * l.inv)); ok {
+		return k
+	}
+	return geometricInv(u, l.lg)
 }
 
-// geometricInv is the inversion step floor(log(u)/lg), capped at MaxInt32.
+// step rounds the fast step's approximate quotient q = fastLog(u)·(1/lg)
+// and applies its guard: k = floor(q), and ok reports whether k is the
+// exact count, i.e. whether q lies below fastCap and farther than lo from
+// its nearest integer. Adding and subtracting 2^52 rounds q to that
+// integer n without a conversion; t = 2^52 + n holds n in its mantissa
+// bits, and the sign of d = q - n says whether floor(q) is n or n-1. The
+// caller converts q to float64 explicitly so that the multiply producing
+// it is rounded on its own and never fused with the add.
+func (l GeometricLaw) step(q float64) (k int, ok bool) {
+	t := q + 0x1p52
+	d := q - (t - 0x1p52)
+	k = int(math.Float64bits(t)&(1<<52-1)) - int(math.Float64bits(d)>>63)
+	return k, q < fastCap && math.Abs(d) > l.lo
+}
+
+// logTable holds, for the 256 intervals [1 + i/256, 1 + (i+1)/256) of the
+// mantissa range, invc = fl(1/c) at the interval's centre c and
+// logc = -math.Log(invc), so that log(z) = logc + log1p(z·invc - 1) with
+// |z·invc - 1| <= 2^-9 + 2^-52.
+var logTable = func() (t [256]struct{ invc, logc float64 }) {
+	for i := range t {
+		t[i].invc = 1 / (1 + (float64(i)+0.5)/256)
+		t[i].logc = -math.Log(t[i].invc)
+	}
+	return t
+}()
+
+// fastLog is a division-free natural log for normal u in (0, 1), as every
+// nonzero Float64 is: u = 2^e·z with z in [1, 2), the top 8 mantissa bits
+// pick a logTable entry, and log1p(r) of the reduced r = z·invc - 1 is its
+// degree-3 Taylor polynomial.
+// Error budget, with ℓ = ln u: the polynomial's truncation is at most
+// |r|^4/(4(1-|r|)) < 2^-37.99; r itself (z·invc rounds once, the
+// subtraction is exact), the table's logc (under 1 ulp, 2^-53) and the
+// polynomial's own rounding add under 2^-51.5; rounding math.Ln2, e·Ln2 and
+// the two sums adds under 2^-51·|ℓ| + 2^-52 (|e|·ln2 <= |ℓ| + ln2). Total:
+// |fastLog(u) - ℓ| <= 2^-51·|ℓ| + 2^-37.98.
+func fastLog(u float64) float64 {
+	b := math.Float64bits(u)
+	e := float64(int(b>>52) - 1023)
+	t := &logTable[b>>44&0xff]
+	z := math.Float64frombits(b&(1<<52-1) | 1023<<52)
+	r := z*t.invc - 1
+	return e*math.Ln2 + t.logc + (r + r*r*(-0.5+r*(1.0/3)))
+}
+
+// geometricInv is the inversion step floor(log(u)/lg), capped at MaxInt32:
+// the reference GeometricLaw's fast step must reproduce, and its fallback.
 // With u in (0, 1) and lg < 0 the quotient is positive, so no lower clamp
 // is needed.
 func geometricInv(u, lg float64) int {
@@ -202,7 +305,7 @@ func geometricInv(u, lg float64) int {
 // selection (deterministically).
 type SkipSampler struct {
 	r    *RNG
-	lg   float64 // math.Log1p(-p), hoisted out of the per-draw loop
+	law  GeometricLaw
 	n    int
 	next int
 	all  bool
@@ -222,8 +325,8 @@ func (r *RNG) SkipSample(n int, p float64) SkipSampler {
 	case p >= 1:
 		s.all = true
 	default:
-		s.lg = math.Log1p(-p)
-		s.next = r.GeometricLog(s.lg)
+		s.law = NewGeometricLaw(p)
+		s.next = s.law.Draw(r)
 	}
 	return s
 }
@@ -237,7 +340,7 @@ func (s *SkipSampler) Next() (i int, ok bool) {
 	if s.all {
 		s.next++
 	} else {
-		s.next += 1 + s.r.GeometricLog(s.lg)
+		s.next += 1 + s.law.Draw(s.r)
 	}
 	return i, true
 }
@@ -269,11 +372,11 @@ func (r *RNG) Binomial(n int, p float64) int {
 	}
 	// Geometric skipping: positions of successes among n trials.
 	k := 0
-	lg := math.Log1p(-p)
-	i := r.GeometricLog(lg)
+	law := NewGeometricLaw(p)
+	i := law.Draw(r)
 	for i < n {
 		k++
-		i += 1 + r.GeometricLog(lg)
+		i += 1 + law.Draw(r)
 	}
 	return k
 }

@@ -404,15 +404,6 @@ func BenchmarkUint64(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkGeometricSmallP(b *testing.B) {
-	r := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += r.Geometric(1e-4)
-	}
-	_ = sink
-}
-
 func BenchmarkBinomialLarge(b *testing.B) {
 	r := New(1)
 	var sink int

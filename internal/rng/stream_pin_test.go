@@ -9,73 +9,91 @@ import (
 // for large n, Algorithm 1/3 decision probabilities, and the near-flood end.
 var pinProbs = []float64{1e-6, 1e-3, 0.05, 0.5, 0.999}
 
-// TestGeometricLogMatchesGeometric pins the hoisted-divisor draw to the
-// reference one draw for draw: same Float64 consumption, same divisor, so
-// callers may hoist math.Log1p(-p) without moving a single bit.
-func TestGeometricLogMatchesGeometric(t *testing.T) {
+// divisionDraw is the reference geometric draw the law must reproduce: one
+// nonzero Float64, inverted by math.Log and a true division.
+func divisionDraw(r *RNG, lg float64) int {
+	u := r.Float64()
+	for u == 0 {
+		u = r.Float64()
+	}
+	return geometricInv(u, lg)
+}
+
+// TestGeometricLawMatchesDivision pins the law's guarded fast draw to the
+// division draw for draw: same Float64 consumption, same counts, so every
+// caller drawing through a hoisted law moves no bit of its stream.
+func TestGeometricLawMatchesDivision(t *testing.T) {
 	for _, p := range pinProbs {
 		a, b := New(0x9e0), New(0x9e0)
+		law := NewGeometricLaw(p)
 		lg := math.Log1p(-p)
 		for i := 0; i < 20000; i++ {
-			if x, y := a.Geometric(p), b.GeometricLog(lg); x != y {
-				t.Fatalf("p=%g draw %d: Geometric %d, GeometricLog %d", p, i, x, y)
+			if x, y := law.Draw(a), divisionDraw(b, lg); x != y {
+				t.Fatalf("p=%g draw %d: law %d, division %d", p, i, x, y)
 			}
 		}
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("p=%g: generators diverged after equal draws", p)
 		}
 	}
-	// p = 1 (lg = -Inf) returns 0 and consumes nothing, as Geometric(1) does.
+	// p = 1 returns 0 and consumes nothing.
 	a, b := New(3), New(3)
-	if a.GeometricLog(math.Inf(-1)) != 0 || a.Uint64() != b.Uint64() {
-		t.Fatal("GeometricLog(-Inf) must return 0 without drawing")
+	if NewGeometricLaw(1).Draw(a) != 0 || a.Uint64() != b.Uint64() {
+		t.Fatal("GeometricLaw(1) must return 0 without drawing")
 	}
-	for _, lg := range []float64{0, 0.5, math.NaN()} {
+	for _, p := range []float64{0, -0.5, 1.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("GeometricLog(%v) did not panic", lg)
+					t.Errorf("NewGeometricLaw(%v) did not panic", p)
 				}
 			}()
-			a.GeometricLog(lg)
+			NewGeometricLaw(p)
 		}()
 	}
 }
 
-// TestGeometricInvBoundaries pins the inversion step at uniforms whose
-// quotient log(u)/lg sits within an ulp of an integer, where the division
-// and a reciprocal multiply (log(u) * (1/lg)) floor to different counts.
-// Random digests almost never land on such a u, so these are the cases that
-// make a "faster" rewrite of the divisor fail loudly.
+// geometricInvBoundaries are uniforms whose quotient log(u)/lg sits within
+// an ulp of an integer, where the division and an unguarded reciprocal
+// multiply (log(u) * (1/lg)) floor to different counts. Random digests
+// almost never land on such a u, so these are the cases that make an
+// unguarded rewrite of the divisor fail loudly.
+var geometricInvBoundaries = []struct {
+	p    float64
+	u    uint64 // math.Float64bits of the uniform
+	want int
+}{
+	{1e-6, 0x3fefe7ac54fc079e, 2973},
+	{1e-6, 0x3fefe7a8266e8862, 2975},
+	{1e-3, 0x3fed11c79ed484e8, 96},
+	{1e-3, 0x3fea039134ccdf5c, 207},
+	{0.05, 0x3fd3abbc23c51e52, 23},
+	{0.05, 0x3fd005a3378c34fe, 27},
+	{0.5, 0x3fc0000000000001, 3},
+	{0.5, 0x3f90000000000002, 6},
+	{0.999, 0x3a53ce9a36f23c58, 8},
+	{0.999, 0x3557f1fb6f1093f7, 16},
+}
+
+// TestGeometricInvBoundaries pins the reference inversion step at the
+// boundary uniforms, and the law's fast step with them: wherever it does
+// not defer to the reference, it must give the same count.
 func TestGeometricInvBoundaries(t *testing.T) {
-	cases := []struct {
-		p    float64
-		u    uint64 // math.Float64bits of the uniform
-		want int
-	}{
-		{1e-6, 0x3fefe7ac54fc079e, 2973},
-		{1e-6, 0x3fefe7a8266e8862, 2975},
-		{1e-3, 0x3fed11c79ed484e8, 96},
-		{1e-3, 0x3fea039134ccdf5c, 207},
-		{0.05, 0x3fd3abbc23c51e52, 23},
-		{0.05, 0x3fd005a3378c34fe, 27},
-		{0.5, 0x3fc0000000000001, 3},
-		{0.5, 0x3f90000000000002, 6},
-		{0.999, 0x3a53ce9a36f23c58, 8},
-		{0.999, 0x3557f1fb6f1093f7, 16},
-	}
-	for _, c := range cases {
+	for _, c := range geometricInvBoundaries {
 		u := math.Float64frombits(c.u)
 		if got := geometricInv(u, math.Log1p(-c.p)); got != c.want {
 			t.Errorf("p=%g u=%v: geometricInv %d, want %d", c.p, u, got, c.want)
+		}
+		if got, ok := fastStep(NewGeometricLaw(c.p), u); ok && got != c.want {
+			t.Errorf("p=%g u=%v: fast step %d, want %d", c.p, u, got, c.want)
 		}
 	}
 }
 
 // TestSkipSampleStreamPinned pins SkipSample's selected indices to digests
 // recorded before the sampler hoisted its divisor. A change to the draw
-// arithmetic (a reciprocal multiply in place of the division, say) shifts
-// some floor() boundary and fails here loudly.
+// arithmetic (an unguarded reciprocal multiply in place of the division,
+// say) shifts some floor() boundary and fails here loudly.
 func TestSkipSampleStreamPinned(t *testing.T) {
 	want := map[float64]uint64{
 		1e-6:  0x288df446ee7eaba,
