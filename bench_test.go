@@ -130,7 +130,6 @@ func BenchmarkE12VsEG(b *testing.B) {
 func BenchmarkX1Geometric(b *testing.B)    { runExperiment(b, "X1", "", "") }
 func BenchmarkX2AblatePhase2(b *testing.B) { runExperiment(b, "X2", "", "") }
 func BenchmarkX3AblateBeta(b *testing.B)   { runExperiment(b, "X3", "", "") }
-func BenchmarkX4Engine(b *testing.B)       { runExperiment(b, "X4", "", "") }
 
 // --- micro-benchmarks of the primitives the experiments lean on ---
 
@@ -442,6 +441,7 @@ func BenchmarkPrimitiveDecisionScalar262144(b *testing.B) { benchDecisionPhase(b
 // through the engine on a large G(n,p); after the first rounds everyone is
 // informed, so per-op measures the steady-state delivery kernel (hit
 // counting, collision resolution, scratch reuse) with a ~42k-edge round.
+// Each variant forces its kernel, so the name is the path that ran.
 
 type pulseSet struct {
 	txs  []graph.NodeID
@@ -465,7 +465,7 @@ func (p *pulseSet) AppendTransmitters(_ int, _ []graph.NodeID, dst []graph.NodeI
 	return append(dst, p.txs...)
 }
 
-func benchDeliveryPhase(b *testing.B, parallel bool) {
+func benchDeliveryPhase(b *testing.B, kernel radio.DeliveryKernel) {
 	n := 1 << 15
 	p := 8 * math.Log(float64(n)) / float64(n)
 	g := graph.GNPDirected(n, p, rng.New(17))
@@ -474,13 +474,16 @@ func benchDeliveryPhase(b *testing.B, parallel bool) {
 		txs = append(txs, graph.NodeID(v))
 	}
 	sess := radio.NewBroadcastSession(n, 0, &pulseSet{txs: txs}, rng.New(18))
+	radio.SetEngineOverrides(radio.EngineOverrides{Kernel: kernel})
+	defer radio.SetEngineOverrides(radio.EngineOverrides{})
+	sess.Run(g, radio.Options{MaxRounds: 2}) // materialise kernel state off the clock
 	b.ReportAllocs()
 	b.ResetTimer()
-	sess.Run(g, radio.Options{MaxRounds: b.N, Parallel: parallel})
+	sess.Run(g, radio.Options{MaxRounds: b.N})
 }
 
-func BenchmarkPrimitiveDeliverySerial(b *testing.B)   { benchDeliveryPhase(b, false) }
-func BenchmarkPrimitiveDeliveryParallel(b *testing.B) { benchDeliveryPhase(b, true) }
+func BenchmarkPrimitiveDeliveryPush(b *testing.B)  { benchDeliveryPhase(b, radio.KernelPush) }
+func BenchmarkPrimitiveDeliveryDense(b *testing.B) { benchDeliveryPhase(b, radio.KernelDense) }
 
 // --- dense-round isolation: the mid-phase regime where broadcast runs spend
 // their wall clock — ~4k transmitters × d≈100 on the n=262144 G(n,p), so

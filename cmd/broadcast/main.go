@@ -40,6 +40,10 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV instead of markdown")
 	)
 	flag.Parse()
+	if !(*loss >= 0 && *loss < 1) {
+		fatal(fmt.Errorf("-loss %v outside [0,1)", *loss))
+	}
+	channel := radio.LossyChannel(*loss)
 
 	topo, err := cliutil.ParseTopology(*topoSpec)
 	if err != nil {
@@ -63,7 +67,7 @@ func main() {
 		out := sweep.RunTrials(*trials, *seed, *workers, func(tr sweep.Trial) sweep.Metrics {
 			g := topo.Build(tr.Seed)
 			res := radio.RunBroadcast(g, topo.Source, factory(), rng.New(rng.SubSeed(tr.Seed, 1)),
-				radio.Options{MaxRounds: *maxRounds, LossProb: *loss})
+				radio.Options{MaxRounds: *maxRounds, Reception: channel})
 			m := sweep.Metrics{
 				"success": 0, "totalTx": float64(res.TotalTx),
 				"txPerNode": res.TxPerNode(), "maxNodeTx": float64(res.MaxNodeTx),
@@ -104,7 +108,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts := radio.Options{MaxRounds: *maxRounds, RecordHistory: true, LossProb: *loss}
+		opts := radio.Options{MaxRounds: *maxRounds, RecordHistory: true, Reception: channel}
 		var traceOut *os.File
 		if *traceFile != "" {
 			traceOut, err = os.Create(*traceFile)

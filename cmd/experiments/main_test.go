@@ -24,7 +24,7 @@ func TestListShowsEveryExperiment(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit %d", code)
 	}
-	for _, id := range []string{"F1", "E1", "E12", "X4", "G6", "N5"} {
+	for _, id := range []string{"F1", "E1", "E12", "X5", "G6", "N5"} {
 		if !strings.Contains(out, id+" ") && !strings.Contains(out, "\n"+id) {
 			t.Errorf("-list output missing %s:\n%s", id, out)
 		}

@@ -73,20 +73,20 @@
 // contract (see README.md and the radio package docs).
 //
 // On top of that sits the sparse round engine. Delivery is
-// direction-optimizing across four kernels selected per round from exact
-// cost estimates: transmitter-centric push (Σ deg(tx) per round), its
-// receiver-sharded parallel variant, a receiver-centric pull kernel
+// direction-optimizing across three kernels selected per round from exact
+// cost estimates: transmitter-centric push (Σ deg(tx) per round), a
+// receiver-centric pull kernel
 // that iterates only the uninformed frontier's in-edges
 // (Σ deg(uninformed), the late-phase winner; its collision count covers
 // uninformed receivers only — Options.ExactCollisions pins the
 // transmitter-side count), and a word-parallel dense kernel for the
 // mid-phase (Σ deg(tx) ≥ n on a binary-decidable channel): carry-save
 // hit accumulation into two Bitset planes and 64-receivers-at-a-time
-// resolution, branch-free and transmitter-side exact. Where the cores go
-// is decided by a measured cost model (radio.Calibrate probes effective
-// cores and per-edge kernel costs once per process; sweep.PlanPoint gives
-// trial-level parallelism first claim and hands only spare cores to
-// rounds-parallel delivery) — scheduling varies per machine, results
+// resolution, branch-free and transmitter-side exact. Rounds run on one
+// core; parallelism lives across independent trials, whose worker count a
+// measured probe sizes (radio.Calibrate probes effective cores and
+// per-edge kernel costs once per process; sweep.PlanPoint caps the trial
+// pool at the measured cores) — scheduling varies per machine, results
 // never do. Orthogonally, uniform-Bernoulli phases opt into
 // the cross-round stream contract (radio.UniformRound /
 // radio.UniformGossipRound over radio.TxSet's stream draws): the rounds of

@@ -22,7 +22,6 @@ var baselineForcings = []struct {
 	{"scalar", radio.EngineOverrides{ScalarDecisions: true}},
 	{"push", radio.EngineOverrides{Kernel: radio.KernelPush}},
 	{"pull", radio.EngineOverrides{Kernel: radio.KernelPull}},
-	{"parallel", radio.EngineOverrides{Kernel: radio.KernelParallel}},
 	{"dense", radio.EngineOverrides{Kernel: radio.KernelDense}},
 	{"noskip", radio.EngineOverrides{DisableSkip: true}},
 	{"scalar-pull", radio.EngineOverrides{ScalarDecisions: true, Kernel: radio.KernelPull}},

@@ -38,7 +38,11 @@ type Config struct {
 	Full bool
 	// Seed is the base seed; every point and trial seed derives from it.
 	Seed uint64
-	// Workers bounds harness parallelism (0 = GOMAXPROCS).
+	// Workers caps a point's trial-worker pool; 0 leaves the measured
+	// planner's count (sweep.PlanPoint: trials capped at the calibrated
+	// effective cores). Trials are the only parallel axis — each trial's
+	// rounds run on one core — and results are bit-identical at every
+	// setting; only scheduling changes.
 	Workers int
 	// GraphMode restricts graph-representation axes in campaigns that carry
 	// one (the implicit-topology battery): "" enumerates every
@@ -55,16 +59,6 @@ type Config struct {
 	// from different restrictions never collide and resume works across
 	// changes. Campaigns without a channel axis ignore it.
 	Channel string
-	// Parallelism selects how the machine is divided between the two
-	// parallelism axes — trial fan-out and per-trial rounds-parallel
-	// delivery. "" or "auto" uses the measured arbiter: the engine wires the
-	// calibration probe's effective-core count (radio.Calibrate) into
-	// sweep.PlanPoint, which gives trials first claim on cores and hands
-	// rounds-parallel only the spares. "trials" gives every core to the
-	// trial pool (the pre-calibration behaviour); "off" runs fully serial.
-	// Workers, when set, still bounds the trial pool in every mode. Results
-	// are bit-identical across all settings — only scheduling changes.
-	Parallelism string
 }
 
 // Samples is the result of one grid point: per-metric sample vectors,

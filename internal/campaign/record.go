@@ -20,10 +20,7 @@ import (
 // so a record's bytes are a pure function of (campaign, point, seed, scale)
 // for every campaign whose samples are themselves deterministic — which is
 // what makes "shard union == uninterrupted run" and "resumed ==
-// uninterrupted" exact, testable properties rather than aspirations. (A
-// campaign that *measures* wall-clock, like X4's kernel-throughput samples,
-// is the documented exception: its records resume fine but are not
-// reproducible byte-for-byte across runs or hosts.)
+// uninterrupted" exact, testable properties rather than aspirations.
 type Record struct {
 	Campaign string                 `json:"campaign"`
 	Point    string                 `json:"point"`

@@ -25,7 +25,6 @@ var engineForcings = []struct {
 	{"scalar", radio.EngineOverrides{ScalarDecisions: true}},
 	{"push", radio.EngineOverrides{Kernel: radio.KernelPush}},
 	{"pull", radio.EngineOverrides{Kernel: radio.KernelPull}},
-	{"parallel", radio.EngineOverrides{Kernel: radio.KernelParallel}},
 	{"dense", radio.EngineOverrides{Kernel: radio.KernelDense}},
 	{"noskip", radio.EngineOverrides{DisableSkip: true}},
 	{"scalar-pull", radio.EngineOverrides{ScalarDecisions: true, Kernel: radio.KernelPull}},

@@ -73,7 +73,7 @@ func x5Campaign() campaign.Campaign {
 						return sc.GNPDirected(n, p, rng.New(seed)), 0
 					},
 					makeProto: makeProto,
-					opts:      radio.Options{MaxRounds: 100000, LossProb: loss},
+					opts:      radio.Options{MaxRounds: 100000, Reception: radio.LossyChannel(loss)},
 				})
 			}
 			rate := pt.Data.(float64)
@@ -82,23 +82,10 @@ func x5Campaign() campaign.Campaign {
 					return sc.GNPDirected(n, p, rng.New(seed)), 0
 				},
 				makeProto: func() radio.Broadcaster { return core.NewAlgorithm3(n, diam, 2) },
-				// Jam each node independently with the given rate per round; the
-				// schedule draws from a per-trial stream so protocol randomness
-				// is untouched and trials stay deterministic.
-				makeOpts: func(seed uint64) radio.Options {
-					jr := rng.New(rng.SubSeed(seed, 7))
-					return radio.Options{
-						MaxRounds: 100000,
-						Jammed: func(round int) []graph.NodeID {
-							var out []graph.NodeID
-							k := jr.Binomial(n, rate)
-							for _, idx := range jr.SampleWithoutReplacement(n, k) {
-								out = append(out, graph.NodeID(idx))
-							}
-							return out
-						},
-					}
-				},
+				// Jam each node independently with the given rate per round;
+				// the marks are hashed channel draws, so protocol randomness is
+				// untouched and trials stay deterministic.
+				opts: radio.Options{MaxRounds: 100000, Reception: radio.Jam(rate)},
 			})
 		},
 		Render: func(cfg Config, v campaign.View) []*sweep.Table {
@@ -189,7 +176,7 @@ func x6Campaign() campaign.Campaign {
 			epochLen := 40
 			dGuess := int(2 / sub) // generous diameter bound for the protocol
 			sc := pt.Data.(x6Scenario)
-			return sweep.RunTrialsScratch(trials(cfg), seed, cfg.Workers, newTrialScratch, func(tr sweep.Trial) sweep.Metrics {
+			return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 				gs := scratchOf(tr).graph
 				protoRNG := rng.New(rng.SubSeed(tr.Seed, 1))
 				proto := core.NewAlgorithm3(n, dGuess, 8) // wide window: survives epochs

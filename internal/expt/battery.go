@@ -93,7 +93,7 @@ func x7Campaign() campaign.Campaign {
 				proto := pt.Data.(string)
 				mk := x7MakeProto(proto, n, D)
 				maxCampaigns := 400
-				return sweep.RunTrials(trials(cfg), seed, cfg.Workers, func(tr sweep.Trial) sweep.Metrics {
+				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					bat := baseline.NewBattery(n, B)
 					r := rng.New(rng.SubSeed(tr.Seed, 1))
 					campaigns := 0
@@ -117,7 +117,7 @@ func x7Campaign() campaign.Campaign {
 				budget := pt.Data.(int)
 				n2 := 1 << 12
 				p := sparseP(n2)
-				return sweep.RunTrialsScratch(trials(cfg), seed, cfg.Workers, newTrialScratch, func(tr sweep.Trial) sweep.Metrics {
+				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					gg := scratchOf(tr).graph.GNPDirected(n2, p, rng.New(tr.Seed))
 					bl := baseline.NewBatteryLimited(core.NewAlgorithm1(p), budget)
 					res := radio.RunBroadcast(gg, 0, bl, rng.New(rng.SubSeed(tr.Seed, 1)),

@@ -61,7 +61,6 @@ func TestExperimentTablesInvariantUnderEngineConfiguration(t *testing.T) {
 		{"scalar decisions", radio.EngineOverrides{ScalarDecisions: true}},
 		{"push kernel", radio.EngineOverrides{Kernel: radio.KernelPush}},
 		{"pull kernel", radio.EngineOverrides{Kernel: radio.KernelPull}},
-		{"parallel kernel", radio.EngineOverrides{Kernel: radio.KernelParallel}},
 		{"dense kernel", radio.EngineOverrides{Kernel: radio.KernelDense}},
 		{"skip disabled", radio.EngineOverrides{DisableSkip: true}},
 		{"scalar+pull+noskip", radio.EngineOverrides{
@@ -81,22 +80,28 @@ func TestExperimentTablesInvariantUnderEngineConfiguration(t *testing.T) {
 
 // TestSweepScratchDeterminism pins the other half of the trial-loop
 // contract: per-worker scratch reuse must not leak state between trials, so
-// serial (workers=1) and parallel sweeps stay bit-identical.
+// serial (workers=1) and parallel sweeps stay bit-identical. E9 covers the
+// loops routed through runSweep from a scratch-free fan-out.
 func TestSweepScratchDeterminism(t *testing.T) {
-	run := func(workers int) map[string]string {
-		c := Config{Full: false, Seed: 31337, Workers: workers}
-		e, _ := ByID("E1")
-		out := map[string]string{}
-		for _, tb := range e.Run(c) {
-			out[tb.Title] = tb.Markdown()
+	for _, id := range []string{"E1", "E9"} {
+		run := func(workers int) map[string]string {
+			c := Config{Full: false, Seed: 31337, Workers: workers}
+			e, _ := ByID(id)
+			out := map[string]string{}
+			for _, tb := range e.Run(c) {
+				out[tb.Title] = tb.Markdown()
+			}
+			return out
 		}
-		return out
-	}
-	serial := run(1)
-	parallel := run(4)
-	for k, v := range serial {
-		if parallel[k] != v {
-			t.Fatalf("E1 table %q differs between workers=1 and workers=4", k)
+		serial := run(1)
+		parallel := run(4)
+		if len(serial) == 0 || len(serial) != len(parallel) {
+			t.Fatalf("%s: %d tables at workers=1, %d at workers=4", id, len(serial), len(parallel))
+		}
+		for k, v := range serial {
+			if parallel[k] != v {
+				t.Fatalf("%s table %q differs between workers=1 and workers=4", id, k)
+			}
 		}
 	}
 }

@@ -180,29 +180,22 @@ func scratchOf(t sweep.Trial) *trialScratch {
 	return newTrialScratch().(*trialScratch)
 }
 
-// planFor resolves the point's parallelism split from Config: the measured
-// arbiter by default, with "trials" and "off" as explicit overrides and
-// Workers bounding the trial pool in every mode.
-func planFor(cfg Config) sweep.Plan {
-	switch cfg.Parallelism {
-	case "off":
-		return sweep.Plan{TrialWorkers: 1}
-	case "trials":
-		return sweep.Plan{TrialWorkers: cfg.Workers} // 0 → GOMAXPROCS in the pool
-	default: // "", "auto"
-		p := sweep.PlanPoint(trials(cfg))
-		if cfg.Workers > 0 && cfg.Workers < p.TrialWorkers {
-			p.TrialWorkers = cfg.Workers
-		}
-		return p
+// planFor returns the trial-worker count for a point of n trials: the
+// measured planner's count (sweep.PlanPoint), capped by Workers when set.
+func planFor(cfg Config, n int) int {
+	w := sweep.PlanPoint(n)
+	if cfg.Workers > 0 {
+		w = min(w, cfg.Workers)
 	}
+	return w
 }
 
 // runSweep is the standard point-trial fan-out: trials(cfg) repetitions from
-// the point seed on the arbiter's trial workers, with the per-worker scratch
+// the point seed on the planner's trial workers, with the per-worker scratch
 // bundle.
 func runSweep(cfg Config, seed uint64, fn func(sweep.Trial) sweep.Metrics) campaign.Samples {
-	return sweep.RunTrialsScratch(trials(cfg), seed, planFor(cfg).TrialWorkers, newTrialScratch, fn)
+	n := trials(cfg)
+	return sweep.RunTrialsScratch(n, seed, planFor(cfg, n), newTrialScratch, fn)
 }
 
 // broadcastTrial holds everything needed to run one protocol/topology pair
@@ -215,9 +208,6 @@ type broadcastTrial struct {
 	// makeProto builds a fresh protocol instance per trial.
 	makeProto func() radio.Broadcaster
 	opts      radio.Options
-	// makeOpts, when set, builds per-trial options (e.g. a jamming schedule
-	// closed over a trial-seeded RNG) instead of the static opts.
-	makeOpts func(seed uint64) radio.Options
 }
 
 // standard metric keys produced by runBroadcastTrials.
@@ -234,23 +224,11 @@ const (
 // seed and returns the standard metric samples. Failed runs report NaN for
 // informedRound.
 func runBroadcastTrials(cfg Config, seed uint64, spec broadcastTrial) campaign.Samples {
-	plan := planFor(cfg)
 	return runSweep(cfg, seed, func(t sweep.Trial) sweep.Metrics {
 		ts := scratchOf(t)
 		g, src := spec.makeGraph(t.Seed, ts.graph)
 		proto := spec.makeProto()
-		opts := spec.opts
-		if spec.makeOpts != nil {
-			opts = spec.makeOpts(t.Seed)
-		}
-		// Spare cores the trial pool cannot fill go to rounds-parallel
-		// delivery (bit-identical to serial by the kernel equivalence
-		// contract; only scheduling changes).
-		if plan.RoundWorkers >= 2 && !opts.Parallel {
-			opts.Parallel = true
-			opts.Workers = plan.RoundWorkers
-		}
-		res := radio.RunBroadcastWith(ts.radio, g, src, proto, rng.New(rng.SubSeed(t.Seed, 1)), opts)
+		res := radio.RunBroadcastWith(ts.radio, g, src, proto, rng.New(rng.SubSeed(t.Seed, 1)), spec.opts)
 		m := sweep.Metrics{
 			mSuccess:   0,
 			mTotalTx:   float64(res.TotalTx),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/campaign"
@@ -18,8 +17,6 @@ import (
 func init() {
 	register(Experiment{ID: "X1", Title: "Random geometric graphs (the §5 future-work model)",
 		PaperRef: "§5 Conclusion", Campaign: x1Campaign()})
-	register(Experiment{ID: "X4", Title: "Engine: serial vs parallel delivery kernel",
-		PaperRef: "implementation", Campaign: x4Campaign()})
 }
 
 // x1Variant is one link model of X1: homogeneous or heterogeneous radii
@@ -142,88 +139,6 @@ func x1Campaign() campaign.Campaign {
 				"nearby nodes, so coverage degrades (informed fraction < 1) while the " +
 				"diameter-aware Algorithm 3 and Decay stay robust. Heterogeneous radii add " +
 				"asymmetric links without changing that picture."
-			return []*sweep.Table{t}
-		},
-	}
-}
-
-// x4Kernel is one delivery-kernel configuration.
-type x4Kernel struct {
-	name     string
-	parallel bool
-	workers  int
-}
-
-var x4Kernels = []x4Kernel{
-	{"serial", false, 1},
-	{"parallel", true, 2}, {"parallel", true, 4},
-	{"parallel", true, 8}, {"parallel", true, 16},
-}
-
-// x4Campaign measures delivery-kernel throughput. Its samples contain
-// wall-clock timings, so — alone among the campaigns — its records are not
-// reproducible byte-for-byte across runs or hosts; the checksum samples
-// still are.
-func x4Campaign() campaign.Campaign {
-	return campaign.Campaign{
-		Points: func(cfg Config) []campaign.Point {
-			return []campaign.Point{campaign.Pt("kernels", nil)}
-		},
-		Run: func(cfg Config, pt campaign.Point, seed uint64) campaign.Samples {
-			n := 30000
-			rounds := 40
-			if cfg.Full {
-				n = 120000
-				rounds = 60
-			}
-			p := 8 * math.Log(float64(n)) / float64(n)
-			g := graph.GNPDirected(n, p, rng.New(seed))
-			s := campaign.Samples{
-				"n":       {float64(n)},
-				"rounds":  {float64(rounds)},
-				"meanDeg": {float64(g.M()) / float64(n)},
-			}
-			for _, k := range x4Kernels {
-				proto := &baseline.FixedProb{Q: 0.2}
-				start := time.Now()
-				res := radio.RunBroadcast(g, 0, proto, rng.New(seed^7),
-					radio.Options{MaxRounds: rounds, Parallel: k.parallel, Workers: k.workers})
-				dur := time.Since(start)
-				sum := res.TotalTx + int64(res.Informed)*1000003 + res.Collisions
-				s["nanos"] = append(s["nanos"], float64(dur.Nanoseconds()))
-				s["checksum"] = append(s["checksum"], float64(sum))
-			}
-			return s
-		},
-		Render: func(cfg Config, v campaign.View) []*sweep.Table {
-			s := v.Samples("kernels")
-			n := int(s["n"][0])
-			rounds := int(s["rounds"][0])
-			meanDeg := s["meanDeg"][0]
-			t := sweep.NewTable(
-				fmt.Sprintf("X4: delivery-kernel throughput (G(n=%d,p), %d rounds of q=0.2 flooding)", n, rounds),
-				"kernel", "workers", "wall time", "edges scanned/s", "result checksum")
-			for i, k := range x4Kernels {
-				dur := time.Duration(int64(s["nanos"][i]))
-				sum := int64(s["checksum"][i])
-				// Rough work estimate: transmitters ≈ 0.2·n per round, each
-				// scanning its out-degree ≈ meanDeg edges.
-				edges := 0.2 * float64(n) * meanDeg * float64(rounds)
-				t.AddRow(k.name, sweep.FInt(k.workers), dur.Round(time.Millisecond).String(),
-					sweep.F(edges/dur.Seconds()), sweep.FInt(int(sum%1000000)))
-			}
-			agree := "identical results across kernels"
-			for _, c := range s["checksum"] {
-				if c != s["checksum"][0] {
-					agree = "KERNEL MISMATCH"
-				}
-			}
-			t.Note = "The receiver-sharded two-pass kernel (per-worker buckets, then contention-free " +
-				"per-shard counting) is bit-identical to the serial kernel — " + agree + ". It uses " +
-				"no atomics; its win over serial requires real cores and hit arrays too big for " +
-				"cache (million-node rounds), else the extra bucket traffic dominates. The harness " +
-				"still parallelises across independent trials for sweeps, which scales linearly — " +
-				"the kernel matters for single very large runs."
 			return []*sweep.Table{t}
 		},
 	}

@@ -103,7 +103,7 @@ func e6Campaign() campaign.Campaign {
 				nc := 128
 				pc := 0.4 // np² = 20: every component broadcast has safe Phase-3 capacity
 				if pt.Data.(string) == "sequential" {
-					return sweep.RunTrialsScratch(trials(cfg), seed, cfg.Workers, newTrialScratch, func(tr sweep.Trial) sweep.Metrics {
+					return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 						g := scratchOf(tr).graph.GNPDirected(nc, pc, rng.New(tr.Seed))
 						res := core.RunSequentialGossip(g, pc, rng.New(rng.SubSeed(tr.Seed, 1)), 10000)
 						m := sweep.Metrics{"success": 0, "rounds": float64(res.Rounds), "tx": float64(res.TotalTx)}

@@ -49,7 +49,7 @@ func e9Campaign() campaign.Campaign {
 			fail := 1.0 / float64(n)
 			q := pt.Data.(float64)
 			rounds := lowerbound.Obs43RoundsNeeded(n, q, fail)
-			return sweep.RunTrials(trials(cfg), seed, cfg.Workers, func(tr sweep.Trial) sweep.Metrics {
+			return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 				net := graph.NewObs43Network(n)
 				f := &baseline.FixedProb{Q: q}
 				// The analytic model starts with the intermediates informed; in

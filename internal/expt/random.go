@@ -294,7 +294,7 @@ func e5Campaign() campaign.Campaign {
 			p0 := pt.Data.(e5Point)
 			p := p0.d / float64(p0.n)
 			predicted := int(math.Ceil(math.Log(float64(p0.n)) / math.Log(p0.d)))
-			return sweep.RunTrialsScratch(trials(cfg), seed, cfg.Workers, newTrialScratch, func(tr sweep.Trial) sweep.Metrics {
+			return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 				g := scratchOf(tr).graph.GNPDirected(p0.n, p, rng.New(tr.Seed))
 				// Exact diameter is O(n·m); sample sources for speed at scale.
 				var diam int

@@ -151,7 +151,7 @@ func s1Campaign() campaign.Campaign {
 			if p.n >= s1PlanetN {
 				tr = s1PlanetTrials
 			}
-			return sweep.RunTrialsScratch(tr, seed, cfg.Workers, newTrialScratch, func(t sweep.Trial) sweep.Metrics {
+			return sweep.RunTrialsScratch(tr, seed, planFor(cfg, tr), newTrialScratch, func(t sweep.Trial) sweep.Metrics {
 				ts := scratchOf(t)
 				g, proto := s1Build(p, t.Seed, ts.graph)
 				res := radio.RunBroadcastWith(ts.radio, g, 0, proto,

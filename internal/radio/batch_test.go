@@ -85,52 +85,6 @@ func TestBatchDecisionPathMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestSerialAndParallelKernelsAgreeAtScale(t *testing.T) {
-	// The n >= 10k serial-vs-parallel equivalence check, through the full
-	// engine so claim/merge ordering bugs surface in Result fields.
-	n := 12000
-	g := graph.GNPDirected(n, 2.5e-3, rng.New(21))
-	opt := Options{MaxRounds: 60, RecordHistory: true}
-	serial := RunBroadcast(g, 0, &pulse{q: 0.3}, rng.New(5), opt)
-	for _, workers := range []int{2, 3, 8} {
-		po := opt
-		po.Parallel = true
-		po.Workers = workers
-		par := RunBroadcast(g, 0, &pulse{q: 0.3}, rng.New(5), po)
-		if !resultsEqual(serial, par) {
-			t.Fatalf("parallel kernel (workers=%d) differs from serial at n=%d", workers, n)
-		}
-	}
-}
-
-func TestParallelKernelDirectAtScale(t *testing.T) {
-	// Kernel-level comparison on a big round: every receiver shard boundary
-	// gets exercised with an adversarially dense transmitter set.
-	n := 16384
-	g := graph.GNPDirected(n, 1.2e-3, rng.New(31))
-	r := rng.New(32)
-	informed := NewBitset(n)
-	var txs []graph.NodeID
-	for v := 0; v < n; v++ {
-		if r.Bernoulli(0.5) {
-			informed.Set(graph.NodeID(v))
-			if r.Bernoulli(0.6) {
-				txs = append(txs, graph.NodeID(v))
-			}
-		}
-	}
-	st := newDeliveryState(n)
-	wantD, wantC := st.deliver(g, 1, txs, informed, channelCaps{maxHits: 1})
-	for _, workers := range []int{1, 2, 5, 16} {
-		pd := newParallelDeliverer(n, workers)
-		gotD, gotC := pd.deliver(g, 1, txs, informed, channelCaps{maxHits: 1})
-		if gotC != wantC || !equalNodeSlices(gotD, wantD) {
-			t.Fatalf("workers=%d: kernel mismatch (%d/%d delivered, %d/%d collisions)",
-				workers, len(gotD), len(wantD), gotC, wantC)
-		}
-	}
-}
-
 func TestScratchSessionsMatchFreshSessions(t *testing.T) {
 	// Reusing a Scratch across trials must not leak state between runs.
 	sc := NewScratch()

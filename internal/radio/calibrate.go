@@ -10,12 +10,10 @@ import (
 )
 
 // Calibration is the startup probe's measurement of what this machine can
-// actually do. PR 1's rounds-parallel kernel and the sweep's trials-parallel
-// pool were both built blind — on a 1-CPU container they fight over the same
-// core, and GOMAXPROCS alone cannot tell a 16-vCPU machine from a cgroup
-// throttled to one. The probe measures instead of assuming, and the sweep
-// arbiter (sweep.PlanPoint) divides cores between the two parallelism axes
-// from the measurement. Kernel *choice* never depends on it — results stay
+// actually do. GOMAXPROCS alone cannot tell a 16-vCPU machine from a cgroup
+// throttled to one, so the probe measures instead of assuming, and the sweep
+// planner (sweep.PlanPoint) sizes the trial-worker pool from the
+// measurement. Kernel *choice* never depends on it — results stay
 // bit-identical whatever the probe reports — only scheduling does.
 type Calibration struct {
 	GoMaxProcs int // runtime.GOMAXPROCS(0) at probe time

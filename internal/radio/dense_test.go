@@ -162,15 +162,11 @@ func TestDenseOK(t *testing.T) {
 		{"fade", Options{Reception: Fade(0.2)}, true},
 		{"jam", Options{Reception: Jam(0.15)}, true},
 		{"lossy", Options{Reception: LossyChannel(0.25)}, false},
-		{"lossprob", Options{LossProb: 0.25}, false},
 		{"sinr", Options{Reception: SINRThreshold(0.5, 0.1)}, false},
 	}
 	for _, c := range cases {
 		model := c.opt.Reception
-		switch {
-		case c.opt.LossProb > 0:
-			model = LossyChannel(c.opt.LossProb)
-		case model == nil:
+		if model == nil {
 			model = Binary()
 		}
 		if got := denseOK(model.resolve(7)); got != c.want {

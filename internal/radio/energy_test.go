@@ -139,7 +139,7 @@ func TestEngineEnergyMatchesNaiveReplay(t *testing.T) {
 // TestEnergyEquivalenceAcrossEngineConfigurations is the satellite
 // equivalence extension: per-node energy, residual charge and lifetime
 // rounds must be bit-identical whichever decision path (batch/scalar) and
-// delivery kernel (serial/parallel) the engine uses, on both G(n,p) and UDG
+// delivery kernel (adaptive/forced push) the engine uses, on both G(n,p) and UDG
 // topologies.
 func TestEnergyEquivalenceAcrossEngineConfigurations(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
@@ -165,9 +165,9 @@ func TestEnergyEquivalenceAcrossEngineConfigurations(t *testing.T) {
 		}
 		SetEngineOverrides(EngineOverrides{ScalarDecisions: true})
 		scalar := run(tp.g)
-		SetEngineOverrides(EngineOverrides{Kernel: KernelParallel})
-		parallel := run(tp.g)
-		for _, alt := range []*Result{scalar, parallel} {
+		SetEngineOverrides(EngineOverrides{Kernel: KernelPush})
+		push := run(tp.g)
+		for _, alt := range []*Result{scalar, push} {
 			if alt.Rounds != base.Rounds || alt.Informed != base.Informed || alt.TotalTx != base.TotalTx {
 				t.Fatalf("%s: engine results diverge under overrides", tp.name)
 			}

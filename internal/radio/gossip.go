@@ -298,7 +298,7 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 			switch engineOverrides.Kernel {
 			case KernelPull:
 				usePull = true
-			case KernelPush, KernelParallel, KernelDense:
+			case KernelPush, KernelDense:
 				// forced sender-centric (gossip exchanges rumor sets per
 				// edge, so the broadcast-only dense bitset kernel degrades
 				// to push here)

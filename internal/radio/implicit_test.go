@@ -52,7 +52,6 @@ func TestImplicitBitIdenticalToMaterialized(t *testing.T) {
 		{"scalar", EngineOverrides{ScalarDecisions: true}},
 		{"push", EngineOverrides{Kernel: KernelPush}},
 		{"pull", EngineOverrides{Kernel: KernelPull}},
-		{"parallel", EngineOverrides{Kernel: KernelParallel}},
 		{"dense", EngineOverrides{Kernel: KernelDense}},
 		{"noskip", EngineOverrides{DisableSkip: true}},
 		{"scalar-pull-noskip", EngineOverrides{ScalarDecisions: true, Kernel: KernelPull, DisableSkip: true}},
@@ -106,7 +105,7 @@ func TestImplicitLossyEquivalence(t *testing.T) {
 	for gname, pair := range implicitTestGraphs(t) {
 		run := func(g graph.Implicit) *Result {
 			return RunBroadcast(g, 0, &sbern{q: 0.05}, rng.New(11),
-				Options{MaxRounds: 1200, LossProb: 0.2, ExactCollisions: true})
+				Options{MaxRounds: 1200, Reception: LossyChannel(0.2), ExactCollisions: true})
 		}
 		want := run(pair.mat)
 		got := run(pair.imp)
@@ -115,22 +114,6 @@ func TestImplicitLossyEquivalence(t *testing.T) {
 		}
 		assertSameResult(t, gname+"/lossy", want, got)
 	}
-}
-
-// TestImplicitParallelOptionEquivalence drives the sharded kernel through
-// Options.Parallel (not just the override) far enough past the serial
-// fallback threshold to exercise the fan-out path on implicit rows.
-func TestImplicitParallelOptionEquivalence(t *testing.T) {
-	n := 2048
-	g := graph.NewImplicitGNP(n, 4e-3, 31)
-	mat := graph.MaterializeImplicit(g)
-	run := func(gr graph.Implicit, par bool) *Result {
-		return RunBroadcast(gr, 0, &sbern{q: 0.4}, rng.New(6),
-			Options{MaxRounds: 400, Parallel: par, Workers: 4})
-	}
-	want := run(mat, false)
-	assertSameResult(t, "parallel/materialized", want, run(mat, true))
-	assertSameResult(t, "parallel/implicit", want, run(g, true))
 }
 
 // TestImplicitGeomSharedAcrossGoroutines pins ImplicitGeom as read-only

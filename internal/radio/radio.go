@@ -33,8 +33,8 @@
 //
 // Delivery is direction-optimizing: per round the engine compares the
 // transmitters' out-degree sum against the uninformed frontier's in-degree
-// sum (tracked incrementally) and picks the cheaper kernel — push
-// (radio.go), parallel push (parallel.go), or the receiver-centric pull
+// sum (tracked incrementally) and picks the cheapest kernel — push
+// (radio.go), word-parallel dense (dense.go), or the receiver-centric pull
 // kernel over the frontier list (frontier.go). Protocols whose rounds are
 // uniform Bernoulli draws additionally implement UniformRound and take
 // their draws through TxSet's cross-round stream contract, letting the
@@ -165,14 +165,12 @@ const (
 	// undercuts the transmitters' out-degree sum; the word-parallel dense
 	// kernel when the transmitters' out-degree sum reaches n on a
 	// materialized graph under a dense-capable channel model (see dense.go);
-	// push otherwise (parallel push when Options.Parallel).
+	// push otherwise.
 	KernelAuto DeliveryKernel = iota
 	// KernelPush forces the serial transmitter-centric kernel.
 	KernelPush
 	// KernelPull forces the receiver-centric frontier kernel.
 	KernelPull
-	// KernelParallel forces the receiver-sharded parallel push kernel.
-	KernelParallel
 	// KernelDense forces the word-parallel carry-save dense kernel for every
 	// round the channel model supports (maxHits == 1, no per-edge filter);
 	// unsupported models fall back to serial push.
@@ -223,26 +221,10 @@ type Options struct {
 	StopWhenInformed bool
 	// RecordHistory captures per-round statistics in Result.History.
 	RecordHistory bool
-	// Parallel selects the sharded parallel delivery kernel (see
-	// parallel.go). Results are identical to the serial kernel.
-	Parallel bool
-	// Workers is the parallel kernel's worker count (0 = GOMAXPROCS).
-	Workers int
 	// Reception selects the channel's reception model (see ReceptionModel
-	// in reception.go). Nil means Binary() — the paper's exactly-one rule —
-	// unless LossProb is set. Every model runs on every kernel and keeps
-	// the silent-skip fast path.
+	// in reception.go). Nil means Binary() — the paper's exactly-one rule.
+	// Every model runs on every kernel and keeps the silent-skip fast path.
 	Reception ReceptionModel
-	// LossProb is shorthand for Reception: LossyChannel(LossProb) — the
-	// per-edge fading probability: each (transmitter, receiver) delivery is
-	// independently lost with this probability, in which case the signal
-	// neither delivers nor interferes at that receiver. Mutually exclusive
-	// with an explicit Reception model.
-	LossProb float64
-	// Jammed, when non-nil, returns the receivers whose channel is occupied
-	// by external interference in the given round: a jammed node cannot
-	// receive that round (the noise collides with any transmission).
-	Jammed func(round int) []graph.NodeID
 	// ExactCollisions forces transmitter-side delivery kernels so that
 	// Result.Collisions counts collisions at every receiver, informed or
 	// not. Without it the engine may select the receiver-centric pull
@@ -285,12 +267,6 @@ func (o Options) validate() error {
 	}
 	if o.Target < 0 {
 		return fmt.Errorf("radio: negative Target %d", o.Target)
-	}
-	if o.LossProb < 0 || o.LossProb >= 1 {
-		return fmt.Errorf("radio: LossProb %v outside [0,1)", o.LossProb)
-	}
-	if o.LossProb > 0 && o.Reception != nil {
-		return fmt.Errorf("radio: Reception and LossProb are mutually exclusive (LossProb is LossyChannel shorthand)")
 	}
 	return nil
 }
@@ -350,7 +326,6 @@ type Scratch struct {
 	txbuf        []graph.NodeID
 	st           *deliveryState
 	fr           *frontierState
-	par          *parallelDeliverer
 	dn           *denseState   // lazily created on the first dense round
 	energy       *energy.State // lazily created on the first energy-enabled session
 }
@@ -369,7 +344,6 @@ func (sc *Scratch) acquire(n int) {
 		sc.txbuf = make([]graph.NodeID, 0, n)
 		sc.st = newDeliveryState(n)
 		sc.fr = newFrontierState(n)
-		sc.par = nil
 		sc.dn = nil
 		return
 	}
@@ -407,11 +381,10 @@ type BroadcastSession struct {
 	energy     *energy.State // non-nil once an energy spec was captured
 	energySpec *energy.Spec  // the captured spec, for mid-session change detection
 
-	sc  *Scratch // non-nil when buffers are borrowed
-	st  *deliveryState
-	fr  *frontierState
-	par *parallelDeliverer
-	dn  *denseState
+	sc *Scratch // non-nil when buffers are borrowed
+	st *deliveryState
+	fr *frontierState
+	dn *denseState
 
 	// Pull-kernel cost tracking: Σ InDegree over uninformed nodes for the
 	// current Run segment's graph, decremented as nodes are informed.
@@ -450,7 +423,6 @@ func NewBroadcastSessionWith(sc *Scratch, n int, src graph.NodeID, p Broadcaster
 		s.txbuf = sc.txbuf
 		s.st = sc.st
 		s.fr = sc.fr
-		s.par = sc.par
 		s.dn = sc.dn
 	} else {
 		s.informed = NewBitset(n)
@@ -551,20 +523,9 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	// unmodified hot paths.
 	model := opt.Reception
 	if model == nil {
-		if opt.LossProb > 0 {
-			model = LossyChannel(opt.LossProb)
-		} else {
-			model = Binary()
-		}
+		model = Binary()
 	}
 	caps := model.resolve(s.chanSeed)
-	parallel := opt.Parallel || engineOverrides.Kernel == KernelParallel
-	if parallel && s.par == nil {
-		s.par = newParallelDeliverer(s.n, opt.Workers)
-		if s.sc != nil {
-			s.sc.par = s.par
-		}
-	}
 	useBatch := s.batch != nil && !engineOverrides.ScalarDecisions
 	// Collision-exactness consumers pin transmitter-side kernels (see the
 	// Result.Collisions contract); an explicit override forcing wins.
@@ -607,10 +568,10 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	_, alreadyDone := s.reachedAt[target]
 	// Cross-round skipping applies when the protocol exposes the uniform
 	// stream contract and no per-round observer (history rows, tracer
-	// callbacks, jamming queries) would notice the missing rounds.
+	// callbacks) would notice the missing rounds.
 	skipper, _ := s.proto.(UniformRound)
 	canSkip := skipper != nil && !engineOverrides.DisableSkip &&
-		opt.Tracer == nil && !opt.RecordHistory && opt.Jammed == nil
+		opt.Tracer == nil && !opt.RecordHistory
 	segEnd := s.rounds + opt.MaxRounds
 	for s.rounds < segEnd && !s.quiesced && !(opt.StopWhenInformed && alreadyDone) {
 		round := s.rounds + 1
@@ -706,8 +667,8 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 			// Forced dense runs every round the channel supports; rounds it
 			// cannot resolve exactly fall back to serial push.
 			useDense = denseOK(caps)
-		case KernelPush, KernelParallel:
-			// forced transmitter-side kernels
+		case KernelPush:
+			// forced transmitter-side kernel
 		default:
 			if len(transmitters) > 0 {
 				outSum := int64(-1) // computed at most once, shared by both estimates
@@ -722,8 +683,8 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 				// graph re-deriving each row dominates and dense saves none
 				// of it, so Auto keeps dense CSR-only (which also keeps
 				// implicit kernel choice, and with it Result.Collisions,
-				// unchanged). Rounds-parallel keeps its shards instead.
-				if !usePull && !parallel && dg != nil && denseOK(caps) {
+				// unchanged).
+				if !usePull && dg != nil && denseOK(caps) {
 					if outSum < 0 {
 						outSum = outDegSum(g, transmitters)
 					}
@@ -743,18 +704,13 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 				}
 			}
 			delivered, collisions = s.dn.deliver(g, transmitters, s.informed)
-		case parallel:
-			delivered, collisions = s.par.deliver(g, round, transmitters, s.informed, caps)
 		default:
 			delivered, collisions = s.st.deliver(g, round, transmitters, s.informed, caps)
 		}
 		// Receiver-side vetoes, applied before the frontier removal so a
-		// vetoed node stays uninformed AND on the pull frontier: the jamming
-		// callback, the model's receiver availability, the duty-cycle sleep
-		// gate, and the battery.
-		if opt.Jammed != nil {
-			delivered = dropJammed(delivered, opt.Jammed(round))
-		}
+		// vetoed node stays uninformed AND on the pull frontier: the model's
+		// receiver availability (fade, jamming), the duty-cycle sleep gate,
+		// and the battery.
 		if caps.recvOK != nil {
 			delivered = filterRecv(delivered, round, caps.recvOK)
 		}
@@ -857,28 +813,6 @@ func uniformProb(u UniformRound, enabled bool, round int) (float64, bool) {
 		return 0, false
 	}
 	return u.RoundProb(round)
-}
-
-// dropJammed removes jammed receivers from the delivered list, preserving
-// order. Both inputs are small; jammed lists are scanned linearly.
-func dropJammed(delivered, jammed []graph.NodeID) []graph.NodeID {
-	if len(jammed) == 0 || len(delivered) == 0 {
-		return delivered
-	}
-	out := delivered[:0]
-	for _, v := range delivered {
-		hit := false
-		for _, j := range jammed {
-			if j == v {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // RunBroadcast simulates protocol p broadcasting from src on a static graph

@@ -3,8 +3,10 @@ package radio
 // The pluggable channel layer. The paper's reception rule — a node receives
 // iff exactly ONE in-neighbour transmits — is one point in a family of
 // channel models; this file factors the family out of the delivery kernels
-// into a ReceptionModel that every kernel (serial push, receiver-centric
-// pull, sharded parallel push) resolves identically.
+// into a ReceptionModel that every kernel (push, receiver-centric pull,
+// word-parallel dense) resolves identically. It is the one spelling of
+// every channel variant: per-edge erasure and random receiver jamming are
+// models here, not engine options.
 //
 // # Determinism: hashed channel draws
 //
@@ -15,7 +17,7 @@ package radio
 //   - Order independence. A sequential stream ties the draw to the order in
 //     which edges are visited, which is kernel-specific — the old lossy
 //     kernel had to pin the serial transmitter-ordered walk and forfeit the
-//     pull/parallel kernels. Hashed draws give the same verdict for an edge
+//     pull kernel. Hashed draws give the same verdict for an edge
 //     no matter which kernel asks, or in which order, so every kernel and
 //     every SetEngineOverrides forcing stays bit-identical under every
 //     model.
@@ -37,7 +39,8 @@ package radio
 // A model resolves into at most three kernel capabilities (channelCaps):
 //
 //   - edgeOK: per-(round, tx, rx) detection — a faded edge neither delivers
-//     nor interferes. Threaded through all three kernels' edge walks.
+//     nor interferes. Threaded through the push and pull kernels' edge
+//     walks; dense declines edge-filtered models (see denseOK).
 //   - recvOK: per-(round, rx) receiver availability — an unavailable
 //     receiver hears nothing this round. Applied once by the engine as a
 //     post-kernel filter on the delivered list, so kernels need no changes
@@ -172,10 +175,9 @@ func (m fadeModel) resolve(seed uint64) channelCaps {
 // LossyChannel returns the per-edge fading model: each (transmitter,
 // receiver) delivery of a round is independently lost with probability
 // loss, in which case the signal neither delivers nor interferes at that
-// receiver. The hashed-draw successor of the old Options.LossProb stream
-// (same distribution, different — order-independent — randomness), which is
-// what lets lossy runs use the pull/parallel kernels and silent-round
-// skipping. Collision counts are exact over the surviving signals.
+// receiver. Hashed per (seed, round, tx, rx), so lossy runs use the pull
+// kernel and silent-round skipping. Collision counts are exact over the
+// surviving signals.
 func LossyChannel(loss float64) ReceptionModel {
 	probPanic("LossyChannel", loss)
 	return lossyModel{loss: loss}
@@ -235,10 +237,11 @@ func (m sinrModel) resolve(uint64) channelCaps { return channelCaps{maxHits: m.k
 // Jam returns a random-jamming model: in each round, each receiver's
 // channel is independently occupied by external interference with
 // probability rate — a jammed node cannot receive that round (the noise
-// collides with any transmission). The hashed, skip-compatible alternative
-// to the Options.Jammed callback, which remains for adversaries that need
-// run-state (at the cost of disabling silent-round skipping). Deterministic
-// per (seed, round, receiver); collision counts are taken before the veto.
+// collides with any transmission). The marks are independent Bernoulli(rate)
+// per (round, receiver), so a round's jammed count is Binomial(n, rate) and
+// the jammed set, given its size, is a uniform subset. Deterministic per
+// (seed, round, receiver) and skip-compatible; collision counts are taken
+// before the veto.
 func Jam(rate float64) ReceptionModel {
 	probPanic("Jam", rate)
 	return jamModel{rate: rate}

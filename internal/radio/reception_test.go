@@ -1,12 +1,14 @@
 package radio
 
 // Tests of the pluggable channel layer: every reception model must be
-// engine-configuration invariant (the refactor's headline payoff — lossy and
-// jammed runs now ride the pull/parallel kernels and the silent-skip fast
-// path), deterministic across session segmentation (hashed draws), and
-// correct on handcrafted capture/veto instances.
+// engine-configuration invariant (lossy and jamming runs ride every kernel
+// and the silent-skip fast path), deterministic across session segmentation
+// (hashed draws), distributed at its nominal rate, and correct on
+// handcrafted capture/veto instances.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/energy"
@@ -24,36 +26,23 @@ var receptionForcings = []struct {
 	{"scalar", EngineOverrides{ScalarDecisions: true}},
 	{"push", EngineOverrides{Kernel: KernelPush}},
 	{"pull", EngineOverrides{Kernel: KernelPull}},
-	{"parallel", EngineOverrides{Kernel: KernelParallel}},
 	{"dense", EngineOverrides{Kernel: KernelDense}},
 	{"noskip", EngineOverrides{DisableSkip: true}},
 	{"scalar-pull-noskip", EngineOverrides{ScalarDecisions: true, Kernel: KernelPull, DisableSkip: true}},
 }
 
 // TestChannelModelForcingsBitIdentical is the channel-layer counterpart of
-// TestEngineConfigurationsBitIdentical, and the regression pin for the
-// refactor's acceptance claim: LossProb and Jammed runs — once serial-only —
-// and every new reception model must produce identical trajectories,
-// transmissions and energy under every kernel, decision-path and skip
-// forcing.
+// TestEngineConfigurationsBitIdentical: every reception model must produce
+// identical trajectories, transmissions and energy under every kernel,
+// decision-path and skip forcing.
 func TestChannelModelForcingsBitIdentical(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
 
-	jam := func(round int) []graph.NodeID {
-		// A deterministic rotating jammer: three receivers every fifth round.
-		if round%5 != 2 {
-			return nil
-		}
-		base := graph.NodeID(round % 97)
-		return []graph.NodeID{base, base + 101, base + 202}
-	}
 	channels := map[string]func() Options{
-		"lossprob": func() Options { return Options{MaxRounds: 2500, LossProb: 0.25} },
-		"lossy":    func() Options { return Options{MaxRounds: 2500, Reception: LossyChannel(0.25)} },
-		"fade":     func() Options { return Options{MaxRounds: 2500, Reception: Fade(0.2)} },
-		"jam":      func() Options { return Options{MaxRounds: 2500, Reception: Jam(0.15)} },
-		"sinr":     func() Options { return Options{MaxRounds: 2500, Reception: SINRThreshold(0.5, 0.1)} },
-		"jammed":   func() Options { return Options{MaxRounds: 2500, Jammed: jam} },
+		"lossy": func() Options { return Options{MaxRounds: 2500, Reception: LossyChannel(0.25)} },
+		"fade":  func() Options { return Options{MaxRounds: 2500, Reception: Fade(0.2)} },
+		"jam":   func() Options { return Options{MaxRounds: 2500, Reception: Jam(0.15)} },
+		"sinr":  func() Options { return Options{MaxRounds: 2500, Reception: SINRThreshold(0.5, 0.1)} },
 	}
 	for gname, g := range sparseTestGraphs(t) {
 		for cname, mkOpt := range channels {
@@ -80,19 +69,6 @@ func TestChannelModelForcingsBitIdentical(t *testing.T) {
 				}
 				SetEngineOverrides(EngineOverrides{})
 			}
-		}
-	}
-}
-
-// TestLossProbMatchesLossyChannel: the Options.LossProb shorthand must be
-// the exact same run as the explicit model (same hashed draws).
-func TestLossProbMatchesLossyChannel(t *testing.T) {
-	for gname, g := range sparseTestGraphs(t) {
-		a := RunBroadcast(g, 0, &sbern{q: 0.03}, rng.New(5), Options{MaxRounds: 1500, LossProb: 0.3})
-		b := RunBroadcast(g, 0, &sbern{q: 0.03}, rng.New(5), Options{MaxRounds: 1500, Reception: LossyChannel(0.3)})
-		assertSameResult(t, gname, a, b)
-		if a.Collisions != b.Collisions {
-			t.Fatalf("%s: collision counts differ: %d vs %d", gname, a.Collisions, b.Collisions)
 		}
 	}
 }
@@ -265,26 +241,109 @@ func TestFadeVetoKeepsFrontier(t *testing.T) {
 	}
 }
 
-// TestDropJammedEdgeCases: the jam filter's boundary behaviour.
-func TestDropJammedEdgeCases(t *testing.T) {
-	if got := dropJammed(nil, []graph.NodeID{1, 2}); len(got) != 0 {
-		t.Fatalf("empty delivered: got %v", got)
+// TestChannelVetoRates pins each random model's law, not just its
+// determinism: resolved for fixed seeds, the vetoes over 400 rounds × 2048
+// receivers must occur at the nominal rate ρ overall (within 5σ), and the
+// per-round vetoed counts must vary like Binomial(2048, ρ) — independent
+// marks per receiver, the law of a per-round jam set whose size is drawn
+// from Binomial(n, ρ) and whose members are a uniform subset. The sample
+// variance S² of k counts has relative standard error √(2/(k-1)) around
+// the binomial variance, so the 5σ band is |S²/v - 1| ≤ 5√(2/(k-1)).
+// Receiver models (Fade, Jam) veto through recvOK; LossyChannel vetoes a
+// per-edge draw, sampled here on one edge per receiver from a transmitter
+// outside the receiver range.
+func TestChannelVetoRates(t *testing.T) {
+	const rounds, n = 400, 2048
+	type model struct {
+		name string
+		mk   func(float64) ReceptionModel
 	}
-	d := []graph.NodeID{3, 4, 5}
-	if got := dropJammed(d, nil); len(got) != 3 {
-		t.Fatalf("no jammers must keep all: got %v", got)
+	models := []model{{"jam", Jam}, {"fade", Fade}, {"lossy", LossyChannel}}
+	for _, m := range models {
+		for _, rho := range []float64{0.05, 0.2, 0.4} {
+			for _, seed := range []uint64{1, 0x5eed} {
+				caps := m.mk(rho).resolve(seed)
+				vetoed := func(round int, rx graph.NodeID) bool {
+					if caps.recvOK != nil {
+						return !caps.recvOK(round, rx)
+					}
+					return !caps.edgeOK(round, n, rx)
+				}
+				counts := make([]float64, rounds)
+				total := 0.0
+				for r := 1; r <= rounds; r++ {
+					for v := 0; v < n; v++ {
+						if vetoed(r, graph.NodeID(v)) {
+							counts[r-1]++
+						}
+					}
+					total += counts[r-1]
+				}
+				label := fmt.Sprintf("%s(%g)/seed=%#x", m.name, rho, seed)
+				draws := float64(rounds * n)
+				sigma := math.Sqrt(rho * (1 - rho) / draws)
+				if frac := total / draws; math.Abs(frac-rho) > 5*sigma {
+					t.Errorf("%s: veto fraction %.5f, want %g ± %.5f (5σ)", label, frac, rho, 5*sigma)
+				}
+				mean := total / rounds
+				ss := 0.0
+				for _, c := range counts {
+					ss += (c - mean) * (c - mean)
+				}
+				s2 := ss / (rounds - 1)
+				v := n * rho * (1 - rho)
+				if band := 5 * math.Sqrt(2.0/(rounds-1)); math.Abs(s2/v-1) > band {
+					t.Errorf("%s: per-round veto count variance %.1f, want Binomial(%d, %g) variance %.1f (±%.0f%%)",
+						label, s2, n, rho, v, 100*band)
+				}
+			}
+		}
 	}
-	if got := dropJammed([]graph.NodeID{3, 4, 5}, []graph.NodeID{3, 4, 5}); len(got) != 0 {
-		t.Fatalf("all jammed: got %v", got)
+}
+
+// TestJamReceiverBlocked: a receiver jammed in round r is not informed in
+// r and stays on the pull frontier, so it is informed in the first later
+// round its channel is clear. The session seed is chosen so that, of two
+// listeners of one repeating transmitter, node 2 is jammed in round 1 and
+// node 1 is not; every kernel forcing must then inform each listener in
+// its first clear round.
+func TestJamReceiverBlocked(t *testing.T) {
+	defer SetEngineOverrides(EngineOverrides{})
+
+	g := graph.FromEdges(3, [][2]graph.NodeID{{0, 1}, {0, 2}})
+	script := map[int][]graph.NodeID{}
+	for r := 1; r <= 40; r++ {
+		script[r] = []graph.NodeID{0}
 	}
-	// Duplicate jam IDs must not over-remove distinct receivers.
-	if got := dropJammed([]graph.NodeID{3, 4, 5}, []graph.NodeID{4, 4, 4}); len(got) != 2 ||
-		got[0] != 3 || got[1] != 5 {
-		t.Fatalf("duplicate jammer ids: got %v, want [3 5]", got)
+	model := Jam(0.5)
+	firstClear := func(caps channelCaps, v graph.NodeID) int {
+		for r := 1; ; r++ {
+			if caps.recvOK(r, v) {
+				return r
+			}
+		}
 	}
-	// Order preserved.
-	if got := dropJammed([]graph.NodeID{9, 1, 7, 2}, []graph.NodeID{1, 2}); len(got) != 2 ||
-		got[0] != 9 || got[1] != 7 {
-		t.Fatalf("order not preserved: got %v", got)
+	var seed uint64
+	var caps channelCaps
+	for seed = 1; ; seed++ {
+		s := NewBroadcastSession(3, 0, newScripted(script), rng.New(seed))
+		caps = model.resolve(s.chanSeed)
+		if firstClear(caps, 1) == 1 && firstClear(caps, 2) > 1 && firstClear(caps, 2) <= 40 {
+			break
+		}
+	}
+	for _, cfg := range receptionForcings {
+		SetEngineOverrides(cfg.o)
+		p := newScripted(script)
+		res := RunBroadcast(g, 0, p, rng.New(seed), Options{MaxRounds: 40, Reception: model})
+		for _, v := range []graph.NodeID{1, 2} {
+			if want := firstClear(caps, v); p.informed[v] != want {
+				t.Fatalf("%s: node %d informed at round %d, want %d (its first unjammed round)",
+					cfg.name, v, p.informed[v], want)
+			}
+		}
+		if res.Informed != 3 {
+			t.Fatalf("%s: informed %d, want 3", cfg.name, res.Informed)
+		}
 	}
 }

@@ -76,32 +76,6 @@ func TestSerialKernelMatchesReference(t *testing.T) {
 	}
 }
 
-func TestParallelKernelMatchesReference(t *testing.T) {
-	r := rng.New(2)
-	f := func(rawN, rawP uint8) bool {
-		n := int(rawN%80) + 10
-		p := float64(rawP%40)/100 + 0.05
-		g := graph.GNPDirected(n, p, r.Split(uint64(rawN)*131+uint64(rawP)))
-		informed := NewBitset(n)
-		var txs []graph.NodeID
-		for v := 0; v < n; v++ {
-			if r.Bernoulli(0.6) {
-				informed.Set(graph.NodeID(v))
-				if r.Bernoulli(0.5) {
-					txs = append(txs, graph.NodeID(v))
-				}
-			}
-		}
-		pd := newParallelDeliverer(n, 3)
-		gotD, gotC := pd.deliver(g, 1, txs, informed, channelCaps{maxHits: 1})
-		wantD, wantC := referenceDeliver(g, txs, informed)
-		return gotC == wantC && equalNodeSlices(gotD, wantD)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLossyKernelZeroLossMatchesReference(t *testing.T) {
 	// The edge-filtered loop with an all-pass filter must agree with the
 	// spec exactly: the edgeOK code path may not perturb hit counting.

@@ -95,7 +95,7 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 }
 
 // TestEngineConfigurationsBitIdentical is the headline equivalence pin:
-// push / pull / parallel / adaptive kernels, batch / scalar decisions, and
+// push / pull / dense / adaptive kernels, batch / scalar decisions, and
 // skip on / off must all yield the same informed trajectory, transmissions,
 // rounds and energy, on G(n,p) and UDG, with and without battery budgets.
 func TestEngineConfigurationsBitIdentical(t *testing.T) {
@@ -109,7 +109,6 @@ func TestEngineConfigurationsBitIdentical(t *testing.T) {
 		{"scalar", EngineOverrides{ScalarDecisions: true}},
 		{"push", EngineOverrides{Kernel: KernelPush}},
 		{"pull", EngineOverrides{Kernel: KernelPull}},
-		{"parallel", EngineOverrides{Kernel: KernelParallel}},
 		{"dense", EngineOverrides{Kernel: KernelDense}},
 		{"noskip", EngineOverrides{DisableSkip: true}},
 		{"scalar-pull-noskip", EngineOverrides{ScalarDecisions: true, Kernel: KernelPull, DisableSkip: true}},
@@ -156,7 +155,6 @@ func TestKernelForcingsPreserveHistory(t *testing.T) {
 		}
 		base := run(EngineOverrides{})
 		push := run(EngineOverrides{Kernel: KernelPush})
-		par := run(EngineOverrides{Kernel: KernelParallel})
 		dense := run(EngineOverrides{Kernel: KernelDense})
 		pull := run(EngineOverrides{Kernel: KernelPull})
 		SetEngineOverrides(EngineOverrides{})
@@ -164,7 +162,7 @@ func TestKernelForcingsPreserveHistory(t *testing.T) {
 		// Default (history on) must be collision-exact, i.e. identical to
 		// forced push, including per-round collision counts. The dense
 		// carry-save kernel is transmitter-side exact too.
-		if !resultsEqual(base, push) || !resultsEqual(base, par) || !resultsEqual(base, dense) {
+		if !resultsEqual(base, push) || !resultsEqual(base, dense) {
 			t.Fatalf("%s: transmitter-side kernels diverge under RecordHistory", gname)
 		}
 		assertSameResult(t, gname+"/pull-history", base, pull)

@@ -5,24 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Plan is the arbiter's split of the machine for one sweep point: how many
-// trial workers the RunTrialsScratch pool gets, and how many rounds-parallel
-// workers each trial's engine may use (0 = rounds-parallel off). The two
-// axes multiply — TrialWorkers × max(RoundWorkers,1) goroutines compete for
-// the same cores — so before this arbiter existed both defaulted on and
-// oversubscribed every container they ran in.
-type Plan struct {
-	TrialWorkers int
-	RoundWorkers int
-}
-
 // effectiveCoresMilli holds the measured usable parallelism ×1000 (atomic so
 // campaign wiring and concurrent sweeps don't race). Zero means unmeasured:
 // PlanPoint falls back to GOMAXPROCS, the pre-calibration behaviour.
 var effectiveCoresMilli atomic.Int64
 
 // SetEffectiveCores installs the calibration probe's measured core count
-// (radio.Calibrate().EffectiveCores) as the budget PlanPoint divides.
+// (radio.Calibrate().EffectiveCores) as the cap PlanPoint applies.
 // Values < 1 are clamped to 1.
 func SetEffectiveCores(c float64) {
 	if c < 1 {
@@ -40,27 +29,10 @@ func EffectiveCores() float64 {
 	return float64(runtime.GOMAXPROCS(0))
 }
 
-// PlanPoint chooses the parallelism split for a point of `trials` independent
-// repetitions. Trials-parallel always wins first claim on cores: independent
-// trials share nothing, so they scale perfectly, while rounds-parallel pays
-// shard merge barriers every round. Rounds-parallel only receives the cores
-// trials cannot fill (few trials on a many-core machine), and never turns on
-// with fewer than two whole spare cores per trial — on a measured single-core
-// container the plan is always {1, 0}, serial everything.
-func PlanPoint(trials int) Plan {
-	cores := int(EffectiveCores() + 0.5)
-	if cores < 1 {
-		cores = 1
-	}
-	if trials < 1 {
-		trials = 1
-	}
-	p := Plan{TrialWorkers: trials}
-	if p.TrialWorkers > cores {
-		p.TrialWorkers = cores
-	}
-	if spare := cores / p.TrialWorkers; spare >= 2 {
-		p.RoundWorkers = spare
-	}
-	return p
+// PlanPoint returns the trial-worker count for a point of `trials`
+// independent repetitions: min(trials, round(measured cores)), at least 1.
+// Independent trials share nothing, so they are the one parallelism axis;
+// each trial's rounds run on one core.
+func PlanPoint(trials int) int {
+	return max(1, min(trials, int(EffectiveCores()+0.5)))
 }

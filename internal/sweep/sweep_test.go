@@ -261,3 +261,29 @@ func BenchmarkRunTrialsDispatch(b *testing.B) {
 		RunTrials(4096, 7, 4, func(tr Trial) Metrics { return nil })
 	}
 }
+
+// TestPlanPoint pins the planner's one rule: min(trials, round(measured
+// cores)), at least 1.
+func TestPlanPoint(t *testing.T) {
+	saved := effectiveCoresMilli.Load()
+	defer effectiveCoresMilli.Store(saved)
+
+	cases := []struct {
+		cores  float64
+		trials int
+		want   int
+	}{
+		{0.5, 1, 1}, {0.5, 8, 1}, {0.5, 30, 1},
+		{1, 1, 1}, {1, 8, 1}, {1, 30, 1},
+		{2, 1, 1}, {2, 8, 2}, {2, 30, 2},
+		{16, 1, 1}, {16, 8, 8}, {16, 30, 16},
+		{64, 1, 1}, {64, 8, 8}, {64, 30, 30},
+		{1.4, 8, 1}, {1.5, 8, 2}, {3, 0, 1},
+	}
+	for _, c := range cases {
+		SetEffectiveCores(c.cores)
+		if got := PlanPoint(c.trials); got != c.want {
+			t.Errorf("cores %g, trials %d: PlanPoint = %d, want %d", c.cores, c.trials, got, c.want)
+		}
+	}
+}

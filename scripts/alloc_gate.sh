@@ -3,9 +3,11 @@
 # written by scripts/bench.sh, i.e. `go test -bench -benchmem` result lines)
 # and fail on allocation regressions:
 #
-#   - every per-round benchmark — BenchmarkPrimitive*Round* — must report
-#     0 allocs/op. These benchmarks time individual simulated rounds over a
-#     warm session, so any steady-state allocation in the round loop
+#   - every per-round benchmark — BenchmarkPrimitive*Round*, and the
+#     phase-isolation benchmarks BenchmarkPrimitiveDecision* and
+#     BenchmarkPrimitiveDelivery* — must report 0 allocs/op. These
+#     benchmarks time individual simulated rounds (or one phase of a round)
+#     over warm state, so any steady-state allocation in the round loop
 #     (decision draw, delivery kernel, energy accounting, skip path) shows
 #     up here and regresses the engine's allocation-free contract.
 #   - named per-run benchmarks carry explicit small budgets (see BUDGETS in
@@ -38,7 +40,7 @@ BEGIN {
 /^BenchmarkPrimitive/ {
   name = $1
   sub(/-[0-9]+$/, "", name)
-  if (name ~ /^BenchmarkPrimitive[A-Za-z0-9]*Round/) limit = 0
+  if (name ~ /^BenchmarkPrimitive[A-Za-z0-9]*Round/ || name ~ /^BenchmarkPrimitive(Decision|Delivery)/) limit = 0
   else if (name in budget) limit = budget[name]
   else next
   v = -1

@@ -13,8 +13,8 @@
 #       flame graph / top — where round time goes (delivery kernel vs
 #       decision phase vs accounting)
 #   go tool trace prof/<name>.trace.out
-#       scheduler timeline — goroutine utilisation of the rounds-parallel
-#       and trials-parallel paths, GC pauses, blocked time
+#       scheduler timeline — goroutine utilisation, GC pauses, blocked
+#       time
 #
 # Each benchmark runs in its own `go test` invocation because -cpuprofile
 # and -trace capture whole-process streams: one benchmark per process keeps
